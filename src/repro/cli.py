@@ -1331,6 +1331,10 @@ def main(argv: Sequence[str] | None = None) -> int:
                         OBS.tracer.profiler.report(), fh, indent=2
                     )
                     fh.write("\n")
+            # The registry reads the trace back: write out the span
+            # buffer first, or a run shorter than one flush interval
+            # registers without its closing records.
+            OBS.tracer.flush()
             _register_run(args, manifest, out_dir, trace_path)
             OBS.shutdown()
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.common.rng import derive_seed
-from repro.obs import OBS
 
 #: Cells modelled per row.  Real rows have 65536 bits; we model only the
 #: weak tail (the cells that could plausibly flip), scaled by density.
@@ -57,10 +56,10 @@ class CellPopulation:
     Profiles are deterministic functions of (dimm_uid, bank, row), so the
     cache is purely an optimisation; it is LRU-bounded at
     ``max_cached_profiles`` so large sweeps cannot grow it without limit.
-    ``profiles_cached`` / ``profile_evictions`` (also exported as the
-    ``dram.cells.profiles_cached`` gauge and
-    ``dram.cells.profile_evictions`` counter when telemetry is on) make
-    the cache behaviour observable.
+    ``profiles_cached`` / ``profile_evictions`` make the cache behaviour
+    observable.  They are not exported as OBS metrics: both describe one
+    process's cache, so under a worker pool they follow which worker ran
+    which task, and a merged snapshot would stop being deterministic.
     """
 
     def __init__(
@@ -102,10 +101,6 @@ class CellPopulation:
         if len(cache) > self.max_cached_profiles:
             cache.popitem(last=False)
             self.profile_evictions += 1
-            if OBS.enabled:
-                OBS.metrics.counter("dram.cells.profile_evictions").inc()
-        if OBS.enabled:
-            OBS.metrics.gauge("dram.cells.profiles_cached").set(len(cache))
         return profile
 
     def _materialise(self, bank: int, row: int) -> CellProfile:

@@ -70,17 +70,20 @@ class RaaCounter:
         self._since_rfm.clear()
         return targets
 
-    def observe_chunk(self, rows: np.ndarray) -> np.ndarray:
+    def observe_chunk(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Batched :meth:`observe`: all mitigation targets of one chunk.
 
         Splits the chunk at RFM trip points and merges each segment's
         activation counts into the rolling table via ``np.unique``,
         preserving the first-occurrence dict insertion order the per-ACT
         loop produces (the stable tiebreak of the count ranking).  Returns
-        the concatenated targets of every RFM tripped inside the chunk —
-        identical, in order, to issuing :meth:`observe` per ACT.
+        ``(targets, trips)``: the concatenated targets of every RFM
+        tripped inside the chunk — identical, in order, to issuing
+        :meth:`observe` per ACT — and for each target the chunk index of
+        the ACT whose RFM chose it.
         """
         targets: list[int] = []
+        trips: list[int] = []
         table = self._since_rfm
         position = 0
         remaining = int(rows.size)
@@ -103,9 +106,14 @@ class RaaCounter:
                 self._count = 0
                 self.rfm_commands += 1
                 ranked = sorted(table, key=table.get, reverse=True)
-                targets.extend(ranked[: self.rows_refreshed_per_rfm])
+                chosen = ranked[: self.rows_refreshed_per_rfm]
+                targets.extend(chosen)
+                trips.extend([position - 1] * len(chosen))
                 table.clear()
-        return np.asarray(targets, dtype=np.int64)
+        return (
+            np.asarray(targets, dtype=np.int64),
+            np.asarray(trips, dtype=np.int64),
+        )
 
 
 def ddr5_timing(refresh_window_ns: float | None = None) -> DdrTiming:

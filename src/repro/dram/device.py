@@ -13,15 +13,20 @@ refresh interval (tREFI) at a time:
    recorded; at the end the cell population converts peaks into flips.
 
 This is the simulated gate every fuzz/sweep/exploit trial funnels through,
-so the inner loop is array code: per-bank state lives in flat NumPy arrays
-over the compact victim window (:class:`_BankWindow`), disturbance lands
-via shifted slice adds over the per-interval activation histogram, TRR and
-refresh bookkeeping is batched, and flips are counted in one vectorised
-pass (:meth:`~repro.dram.cells.CellPopulation.flip_counts_for`).  The
-original per-row sequential loop survives in :mod:`repro.dram.reference`
-and :mod:`repro.dram.equivalence` proves the two paths bit-identical
-(flips, TRR refreshes and OBS metrics) across patterns, TRR vendor
-profiles, pTRR and RFM.
+so the inner loop is array code.  Per-bank state lives in NumPy arrays
+over the compact victim window (:class:`_BankWindow`).  Everything but the
+disturbance recurrence is decided before the loop by an
+:class:`_IntervalPlan`: per-interval ACT histograms and scaled neighbour
+contributions, TRR sampler REF targets (:meth:`TrrSampler.plan
+<repro.dram.trr.TrrSampler.plan>`), pTRR and RAA targets and the periodic
+refresh ranges, merged into one zero-index per interval.  The loop then
+runs four ordered slice adds, a masked peak update and one zeroing store
+per interval, and flips are counted in one vectorised pass
+(:meth:`~repro.dram.cells.CellPopulation.flip_counts_for`).  The original
+per-row sequential loop survives in :mod:`repro.dram.reference` and
+:mod:`repro.dram.equivalence` proves the two paths bit-identical (flips,
+TRR refreshes and OBS metrics) across patterns, TRR vendor profiles, pTRR
+and RFM.
 
 Vectorisation invariants the array code relies on (documented in
 ``docs/PERFORMANCE.md``):
@@ -31,8 +36,12 @@ Vectorisation invariants the array code relies on (documented in
 * per victim, contributions arrive in ascending-aggressor order
   (a = v-2, v-1, v+1, v+2), which the ordered slice adds reproduce so
   float accumulation order matches the reference exactly;
-* refreshes only zero disturbance (idempotent), so batching a chunk's TRR
-  / pTRR / RFM target refreshes cannot change the final state;
+* refreshes only zero disturbance (idempotent) and all of an interval's
+  refreshes follow its deposit, so merging its TRR / pTRR / RFM target
+  and periodic refreshes into one store cannot change the final state;
+* every TRR/pTRR/RFM/refresh decision depends only on the stream and
+  name-derived RNG streams, never on disturbance, so all of them can be
+  made before the disturbance loop runs;
 * every disturbed row lies within +/-2 of some aggressor, so the compact
   window [min(rows)-2, max(rows)+2] covers all state.
 """
@@ -40,6 +49,7 @@ Vectorisation invariants the array code relies on (documented in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -56,13 +66,30 @@ from repro.obs import OBS, metric_key
 #: +/-2 coupling reflects the Half-Double style far-aggressor effect.
 NEIGHBOUR_WEIGHTS = {1: 1.0, 2: 0.18}
 
-#: Neighbour distances, largest first / smallest first.  Per victim v the
-#: reference loop applies contributions in ascending-aggressor order
-#: (v-2, v-1, v+1, v+2); the vectorised slice adds iterate below-victim
-#: aggressors by descending distance and above-victim ones by ascending
-#: distance to reproduce that float accumulation order bit-for-bit.
-_DISTANCES_DESC = tuple(sorted(NEIGHBOUR_WEIGHTS, reverse=True))
-_DISTANCES_ASC = tuple(sorted(NEIGHBOUR_WEIGHTS))
+#: The ordered slice adds of one interval's deposit, as (distance,
+#: aggressor below the victim).  Per victim v the reference loop applies
+#: contributions in ascending-aggressor order (v-2, v-1, v+1, v+2); the
+#: slice adds take below-victim aggressors by descending distance, then
+#: above-victim ones by ascending distance, to reproduce that float
+#: accumulation order bit-for-bit.
+_SLICE_ADDS = tuple(
+    (distance, True) for distance in sorted(NEIGHBOUR_WEIGHTS, reverse=True)
+) + tuple((distance, False) for distance in sorted(NEIGHBOUR_WEIGHTS))
+
+#: Victim offsets of a refreshed aggressor.
+_NEIGHBOUR_OFFSETS = np.array(
+    sorted(o for d in NEIGHBOUR_WEIGHTS for o in (-d, d)), dtype=np.int64
+)
+
+#: Cells (intervals x window rows) per plan block.  A block's ACT
+#: histogram, its scaled contributions and the sampler's observed-ACT
+#: histogram each hold this many values, which keeps them in cache; a
+#: window wider than this gets one interval per block.
+PLAN_BLOCK_CELLS = 1 << 15
+
+#: ACTs per plan block (unless one interval alone holds more), which
+#: bounds the block's per-ACT temporaries: draws, masks, histogram keys.
+PLAN_BLOCK_ACTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -105,82 +132,6 @@ class HammerResult:
     trr_refreshes: int
 
 
-class _BankWindow:
-    """Flat per-bank hammer state over the compact victim window.
-
-    Arrays are indexed by ``row - lo`` where ``lo`` is the lowest device
-    row any aggressor in the stream can disturb.  ``peak_window`` (the
-    refresh-window index where each victim's running peak was attained)
-    is materialised only when telemetry is enabled.
-    """
-
-    __slots__ = ("lo", "disturbance", "peak", "peak_window")
-
-    def __init__(self, lo: int, span: int, track_windows: bool) -> None:
-        self.lo = lo
-        self.disturbance = np.zeros(span, dtype=np.float64)
-        self.peak = np.zeros(span, dtype=np.float64)
-        self.peak_window = (
-            np.zeros(span, dtype=np.int64) if track_windows else None
-        )
-
-    # ------------------------------------------------------------------
-    def apply_disturbance(
-        self, acts: np.ndarray, gain: float, window: int
-    ) -> None:
-        """Deposit one interval's activation histogram onto the victims.
-
-        ``acts[i]`` is the ACT count of window row ``i`` this interval.
-        The shifted slice adds below replicate the reference loop's
-        per-victim accumulation order exactly (see module docstring), and
-        adding ``(weight * 0) * gain == 0.0`` for absent aggressors is a
-        bitwise no-op on non-negative disturbance values.
-        """
-        d = self.disturbance
-        span = d.size
-        for distance in _DISTANCES_DESC:  # aggressor below: a = v - distance
-            if span > distance:
-                weight = NEIGHBOUR_WEIGHTS[distance]
-                d[distance:] += (weight * acts[:-distance]) * gain
-        for distance in _DISTANCES_ASC:  # aggressor above: a = v + distance
-            if span > distance:
-                weight = NEIGHBOUR_WEIGHTS[distance]
-                d[:-distance] += (weight * acts[distance:]) * gain
-        improved = d > self.peak
-        if improved.any():
-            self.peak[improved] = d[improved]
-            if self.peak_window is not None:
-                self.peak_window[improved] = window
-
-    def refresh_neighbours(self, aggressors: np.ndarray) -> None:
-        """Zero the +/-1 and +/-2 victims of the given aggressor rows.
-
-        ``aggressors`` is in window coordinates; out-of-window victims are
-        out-of-device by construction and dropped, matching the reference
-        path's ``contains_row`` guard.
-        """
-        span = self.disturbance.size
-        for distance in NEIGHBOUR_WEIGHTS:
-            for offset in (-distance, distance):
-                victims = aggressors + offset
-                victims = victims[(victims >= 0) & (victims < span)]
-                if victims.size:
-                    self.disturbance[victims] = 0.0
-
-    def periodic_refresh(self, slot: int, rows_per_ref: int) -> None:
-        """Reset rows whose staggered refresh slot is this REF.
-
-        Device row r is refreshed when ``r // rows_per_ref == slot``;
-        those rows form one contiguous range, intersected with the window.
-        """
-        start = slot * rows_per_ref - self.lo
-        stop = min(start + rows_per_ref, self.disturbance.size)
-        if start < 0:
-            start = 0
-        if start < stop:
-            self.disturbance[start:stop] = 0.0
-
-
 #: Ceiling on one bank's batched state matrices — disturbance, peak and
 #: (with telemetry) peak-window, each ``locations x span x 8`` bytes.
 #: Above this :meth:`Dimm.batch_supported` refuses and the batch runs as
@@ -188,18 +139,247 @@ class _BankWindow:
 BATCH_MATRIX_BYTES_MAX = 128 * 1024 * 1024
 
 
-class _BankWindowBatch:
-    """Per-bank hammer state for many base-row-shifted locations at once.
+@dataclass
+class _PlanBlock:
+    """The planned work of consecutive refresh intervals of one bank."""
 
-    Row ``i`` of each ``(locations, span)`` matrix is exactly location
-    ``i``'s :class:`_BankWindow` state: the window *shape* is shared —
-    the locations' streams differ only by a uniform row shift, so their
-    window coordinates coincide — while device coordinates differ per
-    location through ``los``.  Per-interval deposits broadcast-add one
-    shared row vector over all locations with the same ordered slice
-    adds as :class:`_BankWindow`, so every location's per-victim float
-    accumulation order (hence every bit of its disturbance state)
-    matches a per-trial run exactly.
+    first: int  # stream index of the block's first interval
+    acts: list[int]  # ACTs per interval
+    #: Per :data:`_SLICE_ADDS` entry an ``(intervals, span - distance)``
+    #: array: row ``t`` is what interval ``t``'s slice add deposits.
+    deposits: list[np.ndarray]
+    #: Flat state indices (``location * span + column``) to zero, grouped
+    #: by interval: ``zero[zero_bounds[t]:zero_bounds[t + 1]]``.
+    zero: np.ndarray
+    zero_bounds: list[int]
+
+
+class _IntervalPlan:
+    """Every decision of one bank stream's interval loop, made up front.
+
+    TRR sampling and REF ranking, pTRR draws, RAA trips and the periodic
+    refresh slots depend only on the ACT stream and name-derived RNG
+    streams, never on disturbance, so :meth:`blocks` computes them for a
+    block of intervals at a time and :meth:`_BankWindow.run` is left with
+    the sequential disturbance recurrence.  Each interval's deposit is
+    precomputed as ``(weight * acts) * gain``, element for element the
+    value the slice adds used to compute in the loop, and its refreshes
+    are merged into one zero-index: they all follow the deposit and
+    zeroing is idempotent.  Window coordinates are shared by every
+    location (the stream is shifted uniformly); only the periodic-refresh
+    ranges differ, so they are planned per location from ``los``.
+    """
+
+    def __init__(
+        self,
+        dimm: "Dimm",
+        bank: int,
+        times: np.ndarray,
+        rows: np.ndarray,
+        lo: int,
+        span: int,
+        los: np.ndarray,
+        gain: float,
+        metrics,
+        trace_windows: bool,
+    ) -> None:
+        timing = dimm.timing
+        self.bank = bank
+        self.rows = rows
+        self.lo = lo
+        self.span = span
+        self.los = los
+        self.gain = gain
+        self.trace_windows = trace_windows
+        self.sampler = TrrSampler(dimm.trr_config, dimm.rng.child("trr", bank))
+        self.sampler.metrics = metrics
+        self.ptrr = dimm.ptrr
+        self.ptrr_rng = dimm.rng.child("ptrr", bank)
+        self.raa: RaaCounter | None = None
+        if dimm.rfm is not None:
+            self.raa = RaaCounter(
+                threshold=dimm._rfm_threshold
+                or dimm.rfm.raa_initial_threshold,
+                rows_refreshed_per_rfm=dimm.rfm.rows_refreshed_per_rfm,
+            )
+        self.t_refi = timing.t_refi
+        self.refs_per_window = timing.refs_per_window
+        self.rows_per_ref = max(
+            1, dimm.spec.geometry.rows // self.refs_per_window
+        )
+        self.n_intervals = int(times[-1] // self.t_refi) + 1
+        self.bounds = np.zeros(self.n_intervals + 1, dtype=np.int64)
+        self.bounds[1:] = np.searchsorted(
+            times, np.arange(1, self.n_intervals + 1) * self.t_refi
+        )
+        self.trr_refreshes = 0
+        # Block buffers, reused by every block: a fresh bank-wide array
+        # per interval would be handed back to the OS and faulted in
+        # again each time.  The histogram is kept all-zero between blocks.
+        self.per_block = max(1, PLAN_BLOCK_CELLS // span)
+        cells = min(self.per_block, self.n_intervals) * span
+        self._hist = np.zeros(cells, dtype=np.int64)
+        self._scaled = {
+            distance: np.empty(cells, dtype=np.float64)
+            for distance in NEIGHBOUR_WEIGHTS
+        }
+
+    def blocks(self):
+        """Yield the plan one :class:`_PlanBlock` at a time.
+
+        A block holds at most :data:`PLAN_BLOCK_CELLS` window cells and
+        :data:`PLAN_BLOCK_ACTS` ACTs (at least one interval), so plan
+        memory does not grow with stream length.  A block's deposits live
+        in buffers the next block overwrites: consume each block before
+        asking for the next.
+        """
+        bounds = self.bounds
+        n = self.n_intervals
+        per_block = self.per_block
+        first = 0
+        while first < n:
+            end = min(n, first + per_block)
+            cap = int(bounds[first]) + PLAN_BLOCK_ACTS
+            if int(bounds[end]) > cap:
+                end = max(
+                    first + 1,
+                    int(np.searchsorted(bounds, cap, side="right")) - 1,
+                )
+            yield self._block(first, end)
+            first = end
+
+    def _block(self, first: int, end: int) -> _PlanBlock:
+        span = self.span
+        lo = self.lo
+        n = end - first
+        bounds = self.bounds[first:end + 1] - self.bounds[first]
+        rows = self.rows[int(self.bounds[first]):int(self.bounds[end])]
+        cols = rows - lo
+        acts = np.diff(bounds)
+        interval_of = np.repeat(np.arange(n, dtype=np.int64), acts)
+        keys = interval_of * span + cols
+        hist = self._hist[:n * span]
+        np.add.at(hist, keys, 1)
+        # (weight * acts) * gain, as the slice adds always computed it.
+        scaled: dict[int, np.ndarray] = {}
+        for distance, weight in NEIGHBOUR_WEIGHTS.items():
+            contribution = self._scaled[distance][:n * span]
+            np.multiply(hist, weight, out=contribution)
+            np.multiply(contribution, self.gain, out=contribution)
+            scaled[distance] = contribution.reshape(n, span)
+        hist[keys] = 0
+        deposits = [
+            scaled[distance][:, :-distance]
+            if below
+            else scaled[distance][:, distance:]
+            for distance, below in _SLICE_ADDS
+            if span > distance
+        ]
+
+        # Aggressors whose neighbours are refreshed, by interval.
+        agg_interval: list[np.ndarray] = []
+        agg_col: list[np.ndarray] = []
+        if self.ptrr.enabled:
+            hit = self.ptrr.refresh_mask(rows.size, self.ptrr_rng)
+            agg_interval.append(interval_of[hit])
+            agg_col.append(cols[hit])
+        if self.raa is not None:
+            targets, trips = self.raa.observe_chunk(rows)
+            self.trr_refreshes += int(targets.size)
+            agg_interval.append(interval_of[trips])
+            agg_col.append(targets - lo)
+        refs = self.sampler.plan(rows, bounds, lo, span)
+        ref_counts = [len(targets) for targets in refs]
+        n_refs = sum(ref_counts)
+        if n_refs:
+            self.trr_refreshes += n_refs
+            agg_interval.append(
+                np.repeat(np.arange(n, dtype=np.int64), ref_counts)
+            )
+            agg_col.append(
+                np.fromiter(
+                    chain.from_iterable(refs), dtype=np.int64, count=n_refs
+                )
+                - lo
+            )
+        if self.trace_windows:
+            for t, count in enumerate(acts.tolist()):
+                OBS.tracer.point(
+                    "dram.window",
+                    bank=self.bank,
+                    window=first + t,
+                    acts=count,
+                    trr_refreshes=ref_counts[t],
+                    virtual_ns=self.t_refi,
+                )
+
+        n_loc = self.los.size
+        loc_base = np.arange(n_loc, dtype=np.int64) * span
+        zero_interval: list[np.ndarray] = []
+        zero: list[np.ndarray] = []
+        if agg_interval:
+            victims = (
+                np.concatenate(agg_col)[:, None] + _NEIGHBOUR_OFFSETS
+            ).ravel()
+            victim_interval = np.repeat(
+                np.concatenate(agg_interval), _NEIGHBOUR_OFFSETS.size
+            )
+            # Out-of-window victims are out of the device by construction.
+            inside = (victims >= 0) & (victims < span)
+            zero.append((victims[inside][:, None] + loc_base).ravel())
+            zero_interval.append(np.repeat(victim_interval[inside], n_loc))
+        # Periodic refresh: device rows [slot, slot + rows_per_ref) of the
+        # interval's slot, intersected with each location's window.
+        slot_row = (
+            (first + np.arange(n, dtype=np.int64)) % self.refs_per_window
+        ) * self.rows_per_ref
+        start = slot_row[:, None] - self.los
+        stop = np.clip(start + self.rows_per_ref, 0, span).ravel()
+        start = np.clip(start, 0, span).ravel()
+        lengths = stop - start
+        total = int(lengths.sum())
+        if total:
+            offsets = np.cumsum(lengths) - lengths
+            zero.append(
+                np.arange(total, dtype=np.int64)
+                + np.repeat(np.tile(loc_base, n) + start - offsets, lengths)
+            )
+            zero_interval.append(
+                np.repeat(np.arange(n, dtype=np.int64), n_loc).repeat(lengths)
+            )
+        if zero:
+            # Each source is already in interval order, so the stable
+            # (merge) sort only interleaves a few sorted runs.
+            interval = np.concatenate(zero_interval)
+            order = np.argsort(interval, kind="stable")
+            flat = np.concatenate(zero)[order]
+            zero_bounds = np.searchsorted(
+                interval[order], np.arange(n + 1, dtype=np.int64)
+            ).tolist()
+        else:
+            flat = np.zeros(0, dtype=np.int64)
+            zero_bounds = [0] * (n + 1)
+        return _PlanBlock(
+            first=first,
+            acts=acts.tolist(),
+            deposits=deposits,
+            zero=flat,
+            zero_bounds=zero_bounds,
+        )
+
+
+class _BankWindow:
+    """Per-bank hammer state for one or more base-row-shifted locations.
+
+    Row ``i`` of each ``(locations, span)`` array is location ``i``'s
+    state over its compact victim window; column ``c`` is device row
+    ``los[i] + c``.  The per-trial loop is the one-location case.  The
+    locations' streams differ only by a uniform row shift, so one
+    :class:`_IntervalPlan` drives all of them and every location's
+    per-victim float accumulation order (hence every bit of its state)
+    matches a per-trial run exactly.  ``peak_window`` (the interval where
+    each victim's running peak was attained) is materialised only when
+    telemetry is enabled.
     """
 
     __slots__ = ("los", "disturbance", "peak", "peak_window")
@@ -215,47 +395,41 @@ class _BankWindowBatch:
             np.zeros((n, span), dtype=np.int64) if track_windows else None
         )
 
-    def apply_disturbance(
-        self, acts: np.ndarray, gain: float, window: int
-    ) -> None:
-        """Broadcast one interval's shared ACT histogram to every location."""
+    def run(self, blocks) -> None:
+        """Play a plan: deposit, record peaks, zero, interval by interval.
+
+        Adding ``(weight * 0) * gain == 0.0`` for absent aggressors is a
+        bitwise no-op on non-negative disturbance, and an interval
+        without ACTs cannot raise a peak, so only its zeroing runs.
+        """
         d = self.disturbance
+        peak = self.peak
+        peak_window = self.peak_window
+        flat = d.reshape(-1)
         span = d.shape[1]
-        for distance in _DISTANCES_DESC:  # aggressor below: a = v - distance
-            if span > distance:
-                weight = NEIGHBOUR_WEIGHTS[distance]
-                d[:, distance:] += (weight * acts[:-distance]) * gain
-        for distance in _DISTANCES_ASC:  # aggressor above: a = v + distance
-            if span > distance:
-                weight = NEIGHBOUR_WEIGHTS[distance]
-                d[:, :-distance] += (weight * acts[distance:]) * gain
-        improved = d > self.peak
-        if improved.any():
-            self.peak[improved] = d[improved]
-            if self.peak_window is not None:
-                self.peak_window[improved] = window
-
-    def refresh_neighbours(self, aggressors: np.ndarray) -> None:
-        """Zero shared victim columns (targets coincide in window coords)."""
-        span = self.disturbance.shape[1]
-        for distance in NEIGHBOUR_WEIGHTS:
-            for offset in (-distance, distance):
-                victims = aggressors + offset
-                victims = victims[(victims >= 0) & (victims < span)]
-                if victims.size:
-                    self.disturbance[:, victims] = 0.0
-
-    def periodic_refresh(self, slot: int, rows_per_ref: int) -> None:
-        """Per-location range reset: refresh slots live in device rows,
-        so the window intersection shifts with each location's base."""
-        span = self.disturbance.shape[1]
-        for i, lo in enumerate(self.los.tolist()):
-            start = slot * rows_per_ref - lo
-            stop = min(start + rows_per_ref, span)
-            if start < 0:
-                start = 0
-            if start < stop:
-                self.disturbance[i, start:stop] = 0.0
+        improved = np.empty(d.shape, dtype=bool)
+        targets = [
+            d[:, distance:] if below else d[:, :-distance]
+            for distance, below in _SLICE_ADDS
+            if span > distance
+        ]
+        for block in blocks:
+            adds = list(zip(targets, block.deposits))
+            zero = block.zero
+            zero_bounds = block.zero_bounds
+            window = block.first
+            for t, acts in enumerate(block.acts):
+                if acts:
+                    for target, deposit in adds:
+                        target += deposit[t]
+                    np.greater(d, peak, out=improved)
+                    np.copyto(peak, d, where=improved)
+                    if peak_window is not None:
+                        np.copyto(peak_window, window + t, where=improved)
+                z0 = zero_bounds[t]
+                z1 = zero_bounds[t + 1]
+                if z1 > z0:
+                    flat[zero[z0:z1]] = 0.0
 
 
 @dataclass
@@ -522,91 +696,55 @@ class Dimm:
     ) -> _BankBatchRecord:
         """One bank's interval loop, run once for a whole location batch.
 
-        Mirrors :meth:`_hammer_bank` step for step on location 0's stream;
-        the only structural differences are the ``(locations, span)``
-        state and that telemetry is *captured* (sampler tallies, window
-        tallies) rather than emitted — :meth:`_emit_bank_location` replays
-        it per location afterwards.
+        Plans and plays location 0's stream exactly as :meth:`_hammer_bank`
+        does, over ``(locations, span)`` state; telemetry is *captured*
+        (sampler tallies, window tallies) rather than emitted —
+        :meth:`_emit_bank_location` replays it per location afterwards.
         """
-        timing = self.timing
-        sampler = TrrSampler(self.trr_config, self.rng.child("trr", bank))
-        if telemetry:
-            # Any non-None batch makes the sampler accumulate its plain-int
-            # tallies; this sentinel batch itself is never flushed.
-            sampler.metrics = OBS.metrics.batch()
-        geometry = self.spec.geometry
-        ptrr_rng = self.rng.child("ptrr", bank)
-        raa: RaaCounter | None = None
-        if self.rfm is not None:
-            raa = RaaCounter(
-                threshold=self._rfm_threshold
-                or self.rfm.raa_initial_threshold,
-                rows_refreshed_per_rfm=self.rfm.rows_refreshed_per_rfm,
-            )
-
-        t_refi = timing.t_refi
-        refs_per_window = timing.refs_per_window
-        rows_per_ref = max(1, geometry.rows // refs_per_window)
-
         rows = np.ascontiguousarray(rows, dtype=np.int64)
         # batch_supported guarantees no location's window clamps, so the
         # shared window origin needs no edge clamping.
         lo = int(rows.min()) - 2
-        hi = int(rows.max()) + 2
-        span = hi - lo + 1
-        state = _BankWindowBatch(lo + deltas, span, track_windows=telemetry)
-        win_rows = rows - lo
-
-        n_intervals = int(times[-1] // t_refi) + 1
-        boundaries = np.searchsorted(
-            times, np.arange(1, n_intervals + 1) * t_refi
+        span = int(rows.max()) + 2 - lo + 1
+        # Any non-None batch makes the sampler accumulate its plain-int
+        # tallies; this sentinel batch itself is never flushed.
+        plan, state = self._play_bank(
+            bank, times, rows, lo, span, lo + deltas, disturbance_gain,
+            OBS.metrics.batch() if telemetry else None, False,
         )
-        acts_per_window = (
-            np.zeros(n_intervals, dtype=np.int64) if telemetry else None
-        )
-        windows_total = 0
-        start = 0
-        trr_refreshes = 0
-        for interval in range(n_intervals):
-            stop = int(boundaries[interval])
-            chunk = win_rows[start:stop]
-            device_chunk = rows[start:stop]
-            start = stop
-            if chunk.size:
-                acts = np.bincount(chunk, minlength=span)
-                state.apply_disturbance(acts, disturbance_gain, interval)
-                if self.ptrr.enabled:
-                    mask = self.ptrr.refresh_mask(chunk.size, ptrr_rng)
-                    if mask.any():
-                        state.refresh_neighbours(chunk[mask])
-                if raa is not None:
-                    targets = raa.observe_chunk(device_chunk)
-                    if targets.size:
-                        trr_refreshes += int(targets.size)
-                        state.refresh_neighbours(targets - lo)
-                sampler.observe(device_chunk)
-            ref_targets = sampler.on_ref()
-            if ref_targets:
-                trr_refreshes += len(ref_targets)
-                state.refresh_neighbours(
-                    np.asarray(ref_targets, dtype=np.int64) - lo
-                )
-            state.periodic_refresh(interval % refs_per_window, rows_per_ref)
-            if telemetry:
-                windows_total += 1
-                acts_per_window[interval] = chunk.size
         return _BankBatchRecord(
             bank=bank,
             base_lo=lo,
             deltas=deltas,
             peak=state.peak,
             peak_window=state.peak_window,
-            trr_refreshes=trr_refreshes,
-            windows_total=windows_total,
-            acts_per_window=acts_per_window,
-            sampler=sampler if telemetry else None,
-            tallies=sampler.capture_tallies() if telemetry else None,
+            trr_refreshes=plan.trr_refreshes,
+            windows_total=plan.n_intervals if telemetry else 0,
+            acts_per_window=np.diff(plan.bounds) if telemetry else None,
+            sampler=plan.sampler if telemetry else None,
+            tallies=plan.sampler.capture_tallies() if telemetry else None,
         )
+
+    def _play_bank(
+        self,
+        bank: int,
+        times: np.ndarray,
+        rows: np.ndarray,
+        lo: int,
+        span: int,
+        los: np.ndarray,
+        disturbance_gain: float,
+        metrics,
+        trace_windows: bool,
+    ) -> tuple[_IntervalPlan, _BankWindow]:
+        """Plan one bank stream and play it over ``len(los)`` locations."""
+        plan = _IntervalPlan(
+            self, bank, times, rows, lo, span, los, disturbance_gain,
+            metrics, trace_windows,
+        )
+        state = _BankWindow(los, span, track_windows=metrics is not None)
+        state.run(plan.blocks())
+        return plan, state
 
     def _emit_bank_location(
         self,
@@ -673,108 +811,43 @@ class Dimm:
         collect_events: bool,
         disturbance_gain: float,
     ):
-        timing = self.timing
-        sampler = TrrSampler(self.trr_config, self.rng.child("trr", bank))
         telemetry = OBS.enabled
-        trace_windows = OBS.tracer.enabled and OBS.tracer.detail == "window"
+        trace_windows = (
+            telemetry and OBS.tracer.enabled and OBS.tracer.detail == "window"
+        )
         # Phase-batched metrics: the window loop and the TRR sampler
         # accumulate into one batch, applied to the registry exactly once
         # per bank (see MetricsBatch for the exactness argument).
         batch = OBS.metrics.batch() if telemetry else None
-        if batch is not None:
-            sampler.metrics = batch
-        windows_total = 0
-        geometry = self.spec.geometry
-        ptrr_rng = self.rng.child("ptrr", bank)
-        raa: RaaCounter | None = None
-        if self.rfm is not None:
-            raa = RaaCounter(
-                threshold=self._rfm_threshold
-                or self.rfm.raa_initial_threshold,
-                rows_refreshed_per_rfm=self.rfm.rows_refreshed_per_rfm,
-            )
-
-        t_refi = timing.t_refi
-        refs_per_window = timing.refs_per_window
-        rows_per_ref = max(1, geometry.rows // refs_per_window)
-
         rows = np.ascontiguousarray(rows, dtype=np.int64)
         # Compact victim window: every disturbed row is within +/-2 of an
         # aggressor, so state arrays only span [min-2, max+2] (clamped).
+        geometry = self.spec.geometry
         lo = max(0, int(rows.min()) - 2)
         hi = min(geometry.rows - 1, int(rows.max()) + 2)
-        span = hi - lo + 1
-        state = _BankWindow(lo, span, track_windows=telemetry)
-        win_rows = rows - lo
-
-        n_intervals = int(times[-1] // t_refi) + 1
-        boundaries = np.searchsorted(
-            times, np.arange(1, n_intervals + 1) * t_refi
+        plan, state = self._play_bank(
+            bank, times, rows, lo, hi - lo + 1, np.array([lo]),
+            disturbance_gain, batch, trace_windows,
         )
-        # Preallocated per-interval ACT tally (one int store per interval
-        # instead of a Python list append); observed in bulk at flush.
-        acts_per_window = (
-            np.zeros(n_intervals, dtype=np.int64) if telemetry else None
-        )
-        start = 0
-        trr_refreshes = 0
-        for interval in range(n_intervals):
-            stop = int(boundaries[interval])
-            chunk = win_rows[start:stop]
-            device_chunk = rows[start:stop]
-            start = stop
-            if chunk.size:
-                acts = np.bincount(chunk, minlength=span)
-                state.apply_disturbance(acts, disturbance_gain, interval)
-                if self.ptrr.enabled:
-                    mask = self.ptrr.refresh_mask(chunk.size, ptrr_rng)
-                    if mask.any():
-                        state.refresh_neighbours(chunk[mask])
-                if raa is not None:
-                    targets = raa.observe_chunk(device_chunk)
-                    if targets.size:
-                        trr_refreshes += int(targets.size)
-                        state.refresh_neighbours(targets - lo)
-                sampler.observe(device_chunk)
-            # REF at the interval end: TRR targeted refreshes...
-            ref_targets = sampler.on_ref()
-            if ref_targets:
-                trr_refreshes += len(ref_targets)
-                state.refresh_neighbours(
-                    np.asarray(ref_targets, dtype=np.int64) - lo
-                )
-            # ... plus this interval's share of the periodic refresh.
-            state.periodic_refresh(interval % refs_per_window, rows_per_ref)
-            if telemetry:
-                windows_total += 1
-                acts_per_window[interval] = chunk.size
-                if trace_windows:
-                    OBS.tracer.point(
-                        "dram.window",
-                        bank=bank,
-                        window=interval,
-                        acts=int(chunk.size),
-                        trr_refreshes=len(ref_targets),
-                        virtual_ns=t_refi,
-                    )
+        sampler = plan.sampler
+        trr_refreshes = plan.trr_refreshes
 
         # Peak disturbance -> flips, in one vectorised pass over victims.
-        touched = np.nonzero(state.peak > 0.0)[0]
+        peak = state.peak[0]
+        touched = np.nonzero(peak > 0.0)[0]
         victims = touched + lo
-        peaks = state.peak[touched]
+        peaks = peak[touched]
         counts = self.cells.flip_counts_for(bank, victims, peaks)
         if batch is not None:
             flipped = np.nonzero(counts)[0]
-            windows = (
-                state.peak_window[touched]
-                if state.peak_window is not None
-                else np.zeros(touched.size, dtype=np.int64)
-            )
+            windows = state.peak_window[0][touched]
             for i in flipped.tolist():
                 self._flip_metrics(batch, int(counts[i]), int(windows[i]))
             sampler.flush_metrics()
-            batch.inc("dram.windows_total", windows_total)
-            batch.observe_many("dram.acts_per_window", acts_per_window.tolist())
+            batch.inc("dram.windows_total", plan.n_intervals)
+            batch.observe_many(
+                "dram.acts_per_window", np.diff(plan.bounds).tolist()
+            )
             batch.flush()
         if not collect_events:
             return int(counts.sum()), trr_refreshes

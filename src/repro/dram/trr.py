@@ -24,6 +24,7 @@ activation, which collapses all our attack configurations.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,97 +106,152 @@ class TrrSampler:
     _neighbour_refreshes: int = 0
     _flushes: int = 0
     _occupancies: list[int] = field(default_factory=list)
+    # plan()'s observed-ACT histogram, reused across calls and all-zero
+    # between them, so planning a stream block by block does not
+    # allocate (and fault in) a window-sized array per block.
+    _hist: np.ndarray | None = field(
+        default=None, compare=False, repr=False
+    )
 
     def observe(self, rows: np.ndarray) -> None:
         """Feed the activations of one refresh interval, in issue order.
 
-        Vectorised: because the table only ever *grows* within an interval
-        (entries are cleared at REFs, never mid-stream), the sequential
-        fill-and-shield loop reduces exactly to first-occurrence ordering
-        over the distinct rows — already-tracked rows bump by their
-        occurrence count, the first ``capacity - len(table)`` new rows in
-        first-appearance order insert with their full occurrence count,
-        and every later new row escapes entirely.  The remaining Python
-        loop is per *distinct* row, not per ACT, and dict insertion order
-        (the :meth:`on_ref` ranking tiebreak) is preserved.
+        The one-interval form of :meth:`plan` (one ``random(n)`` sampling
+        draw, then the shared fill-and-shield step).
         """
         if rows.size == 0:
             return
-        batch = self.metrics
         observed = rows
         if self.config.sample_prob < 1.0:
             mask = self.rng.random(rows.size) < self.config.sample_prob
             observed = rows[mask]
-            if batch is not None:
+            if self.metrics is not None:
                 self._acts_unsampled += int(rows.size - observed.size)
             if observed.size == 0:
                 return
-        counts = self._counts
-        free = self.config.capacity - len(counts)
-        inserted = 0
-        tracked_acts = 0
-        # Tally per-row occurrences against one sort instead of a full
-        # np.unique: the table holds at most ``capacity`` rows, so only
-        # those (plus the first ``free`` new distinct rows) ever matter.
-        sorted_obs = np.sort(observed)
-        tracked_present = 0
-        if counts:
-            tracked = np.fromiter(counts, dtype=np.int64, count=len(counts))
-            occ = np.searchsorted(
-                sorted_obs, tracked, side="right"
-            ) - np.searchsorted(sorted_obs, tracked, side="left")
-            tracked_present = int(np.count_nonzero(occ))
-            for row, n in zip(tracked.tolist(), occ.tolist()):
-                if n:
-                    counts[row] += n
-                    tracked_acts += n
-        if free > 0:
-            # First ``free`` distinct untracked rows, in first-occurrence
-            # order (the order the sequential fill loop inserts them).
-            # Each inserts with its whole-interval occurrence count; the
-            # scan stops once the table fills or no new rows remain, so
-            # it rarely advances past the first few ACTs.
-            distinct = int(np.count_nonzero(np.diff(sorted_obs))) + 1
-            remaining_new = distinct - tracked_present
-            if remaining_new > 0:
-                for row in observed.tolist():
-                    if row in counts:
-                        continue
-                    n = int(
-                        np.searchsorted(sorted_obs, row, side="right")
-                        - np.searchsorted(sorted_obs, row, side="left")
-                    )
-                    counts[row] = n
-                    tracked_acts += n
-                    inserted += 1
-                    free -= 1
-                    remaining_new -= 1
-                    if free == 0 or remaining_new == 0:
-                        break
-        # Every other activation escapes the sampler entirely.
-        if batch is not None:
-            self._acts_observed += int(observed.size)
-            self._rows_inserted += inserted
-            self._tracked_acts += tracked_acts
+        scan = observed.tolist()
+        count_at = Counter(scan).__getitem__
+        self._fill(count_at, 0, scan.__getitem__, 0, len(scan))
 
     def on_ref(self) -> list[int]:
         """REF arrived: return aggressor rows whose neighbours get refreshed."""
+        return self._ref()
+
+    def plan(
+        self, rows: np.ndarray, bounds: np.ndarray, base: int, span: int
+    ) -> list[list[int]]:
+        """Observe consecutive refresh intervals and take each one's REF.
+
+        Interval ``t`` holds the ACTs ``rows[bounds[t]:bounds[t + 1]]``;
+        the result lists every interval's REF targets, exactly what
+        alternating :meth:`observe` and :meth:`on_ref` over the intervals
+        returns, with the same table and telemetry tallies afterwards.
+        The per-interval sampling draws ``random(n_t)`` are hoisted into
+        one ``random(sum(n_t))``: the generator emits one double per
+        value, so the concatenation of the former is the latter.  The
+        fill step reads each row's observed count off one
+        ``(intervals x span)`` histogram, so every row, including those
+        already in the table, must lie in ``[base, base + span)``.
+        """
+        if any(not base <= row < base + span for row in self._counts):
+            raise ValueError("sampler table holds rows outside the window")
+        n = len(bounds) - 1
+        acts = np.diff(bounds)
+        interval_of = np.repeat(np.arange(n, dtype=np.int64), acts)
+        observed = rows
+        sampling = self.config.sample_prob < 1.0
+        if sampling:
+            mask = self.rng.random(rows.size) < self.config.sample_prob
+            observed = rows[mask]
+            interval_of = interval_of[mask]
+        keys = interval_of * span + (observed - base)
+        if self._hist is None or self._hist.size < n * span:
+            self._hist = np.zeros(n * span, dtype=np.int64)
+        hist = self._hist
+        np.add.at(hist, keys, 1)
+        obs_bounds = np.searchsorted(
+            interval_of, np.arange(n + 1, dtype=np.int64)
+        ).tolist()
+        unsampled = sampling and self.metrics is not None
+        acts_list = acts.tolist() if unsampled else None
+        count_at = hist.item
+        row_at = observed.item
+        fill = self._fill
+        ref = self._ref
+        targets: list[list[int]] = []
+        try:
+            for t in range(n):
+                start = obs_bounds[t]
+                stop = obs_bounds[t + 1]
+                if unsampled:
+                    self._acts_unsampled += acts_list[t] - (stop - start)
+                if stop > start:
+                    fill(count_at, t * span - base, row_at, start, stop)
+                targets.append(ref())
+        finally:
+            hist[keys] = 0
+        return targets
+
+    def _fill(self, count_at, offset: int, row_at, start: int, stop: int):
+        """Fill-and-shield over one interval's observed ACTs.
+
+        ``row_at(k)`` for ``start <= k < stop`` are the interval's
+        observed rows in issue order and ``count_at(offset + row)`` is a
+        row's number of them.  The table only grows within an interval
+        (entries are cleared at REFs), so the sequential per-ACT loop
+        reduces to: tracked rows bump by their count, the first
+        ``capacity - len(table)`` new rows in first-occurrence order
+        insert with their whole count (in that order, which is the
+        :meth:`_ref` ranking tiebreak), and every later new row escapes.
+        The insert scan stops once the table is full or every observed
+        ACT belongs to a tracked row.
+        """
+        counts = self._counts
+        n_obs = stop - start
+        tracked_acts = 0
+        for row in counts:
+            n = count_at(offset + row)
+            if n:
+                counts[row] += n
+                tracked_acts += n
+        inserted = 0
+        free = self.config.capacity - len(counts)
+        if free > 0 and tracked_acts < n_obs:
+            for k in range(start, stop):
+                row = row_at(k)
+                if row in counts:
+                    continue
+                n = count_at(offset + row)
+                counts[row] = n
+                tracked_acts += n
+                inserted += 1
+                free -= 1
+                if free == 0 or tracked_acts == n_obs:
+                    break
+        # Every other activation escapes the sampler entirely.
+        if self.metrics is not None:
+            self._acts_observed += n_obs
+            self._rows_inserted += inserted
+            self._tracked_acts += tracked_acts
+
+    def _ref(self) -> list[int]:
+        """One REF: refresh the top-count rows, flush on schedule."""
+        counts = self._counts
+        tally = self.metrics is not None
+        if tally:
+            self._occupancies.append(len(counts))
         targets: list[int] = []
-        batch = self.metrics
-        if batch is not None:
-            self._occupancies.append(len(self._counts))
-        if self._counts:
-            ranked = sorted(self._counts, key=self._counts.get, reverse=True)
+        if counts:
+            ranked = sorted(counts, key=counts.get, reverse=True)
             targets = ranked[: self.config.refreshes_per_ref]
             for row in targets:
-                del self._counts[row]
+                del counts[row]
         self._refs_since_flush += 1
-        flushed = False
-        if self._refs_since_flush >= self.config.flush_every_refs:
-            self._counts.clear()
+        flushed = self._refs_since_flush >= self.config.flush_every_refs
+        if flushed:
+            counts.clear()
             self._refs_since_flush = 0
-            flushed = True
-        if batch is not None:
+        if tally:
             self._neighbour_refreshes += len(targets)
             if flushed:
                 self._flushes += 1

@@ -37,6 +37,7 @@ import os
 import time
 import traceback
 import weakref
+from multiprocessing import resource_tracker
 from typing import Any, Callable, Sequence
 
 from repro.engine.executor.base import (
@@ -305,6 +306,11 @@ class PersistentPoolBackend:
         _POOL_STATE.update(
             fn=self._fn, init=self._init, machine=self.shared_machine
         )
+        # One resource tracker for the parent and every worker, so the
+        # segments workers attach stay registered to the parent alone: a
+        # worker forked while none runs starts its own on first attach,
+        # which unlinks the segment when the worker exits.
+        resource_tracker.ensure_running()
         ctx = multiprocessing.get_context("fork")
         task_recv, task_send = ctx.Pipe(duplex=False)
         result_recv, result_send = ctx.Pipe(duplex=False)

@@ -16,9 +16,15 @@ Lifetime rules (the teardown bugfix hinges on these):
 
 * the parent owns every segment it publishes and is the only side that
   ``unlink``s, in :meth:`PersistentPoolBackend.close`;
-* workers only ``close`` their attachments (and deregister from the
-  ``resource_tracker``, which would otherwise double-track fork-shared
-  segments);
+* workers only ``close`` their attachments.  Attaching registers the
+  segment with the ``resource_tracker`` again (Python 3.11/3.12 track
+  attachments too), which is harmless only because the pool starts the
+  tracker before forking (``PersistentPoolBackend._spawn``): every
+  worker then reports to the parent's tracker, whose registry is a set,
+  and the parent's ``unlink`` retires the one entry.  A worker-side
+  unregister would remove the parent's entry and make that ``unlink``
+  raise a ``KeyError`` in the tracker; a worker-private tracker would
+  unlink the segment when the worker exits;
 * seeded caches hold views into the segment, so the parent keeps each
   published pack alive until the pool itself closes.
 """
@@ -26,7 +32,7 @@ Lifetime rules (the teardown bugfix hinges on these):
 from __future__ import annotations
 
 import os
-from multiprocessing import resource_tracker, shared_memory
+from multiprocessing import shared_memory
 from typing import Any, Mapping
 
 import numpy as np
@@ -105,13 +111,6 @@ class SharedArrayPack:
     def attach(cls, handle: dict[str, Any]) -> "SharedArrayPack":
         """Reattach a pack published by another process (read-only use)."""
         shm = shared_memory.SharedMemory(name=handle["name"])
-        try:
-            # Attaching registers the segment with this process's resource
-            # tracker as if it were ours; the parent owns the lifetime, so
-            # deregister to avoid double-unlink races at exit.
-            resource_tracker.unregister(shm._name, "shared_memory")
-        except Exception:  # pragma: no cover - tracker internals shifted
-            pass
         entries = {
             name: (dtype, tuple(shape), off)
             for name, (dtype, shape, off) in handle["entries"].items()

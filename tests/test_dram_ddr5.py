@@ -41,6 +41,31 @@ def test_raa_counter_resets_between_rfms():
     assert raa.rfm_commands == 3
 
 
+@pytest.mark.parametrize("threshold, chunks", [
+    (4, (3, 5, 4, 0, 9)),
+    (7, (1, 13, 8)),
+    (40, (25, 40, 17, 60)),
+])
+def test_observe_chunk_matches_per_act_observe(threshold, chunks):
+    """Chunked RAA accounting: same targets, tripped at the same ACTs."""
+    rows = np.random.default_rng(threshold).integers(0, 9, sum(chunks))
+    per_act = RaaCounter(threshold=threshold, rows_refreshed_per_rfm=2)
+    expected = [
+        (i, target)
+        for i, row in enumerate(rows.tolist())
+        for target in per_act.observe(row) or ()
+    ]
+    chunked = RaaCounter(threshold=threshold, rows_refreshed_per_rfm=2)
+    got = []
+    start = 0
+    for size in chunks:
+        targets, trips = chunked.observe_chunk(rows[start:start + size])
+        got += zip((trips + start).tolist(), targets.tolist())
+        start += size
+    assert got == expected
+    assert chunked.rfm_commands == per_act.rfm_commands
+
+
 def test_rfm_threshold_scales_with_compression():
     config = RfmConfig(raa_initial_threshold=64)
     assert config.scaled_threshold(1.0) == 64

@@ -11,15 +11,21 @@ import numpy as np
 import pytest
 
 from repro.common.rng import RngStream
+from repro.dram import device as device_mod
 from repro.dram.ddr5 import RfmConfig
 from repro.dram.device import Dimm, DimmSpec
 from repro.dram.equivalence import (
     batch_cross_check,
     cross_check,
     synthetic_workload,
+    vector_twin,
 )
 from repro.dram.geometry import DramGeometry
+from repro.dram.reference import reference_twin
+from repro.dram.timing import DdrTiming
 from repro.dram.trr import VENDOR_TRR_PROFILES, PtrrShield, TrrConfig
+from repro.obs import telemetry_session
+from repro.obs.trace import WALL_KEY
 
 
 def make_dimm(
@@ -30,6 +36,7 @@ def make_dimm(
     density: float = 0.25,
     median: float = 30_000.0,
     seed: int = 11,
+    timing: DdrTiming | None = None,
 ) -> Dimm:
     spec = DimmSpec(
         dimm_id="EQV",
@@ -43,6 +50,7 @@ def make_dimm(
     )
     return Dimm(
         spec=spec,
+        timing=timing,
         trr_config=trr or TrrConfig(),
         ptrr=ptrr,
         rng=RngStream(seed, "equivalence-test"),
@@ -51,7 +59,10 @@ def make_dimm(
     )
 
 
-KINDS = ("double_sided", "many_sided", "random", "mixed")
+#: Streams at the interval plan's edges: intervals without ACTs, and a
+#: window wider than one plan block.
+PLAN_EDGE_KINDS = ("gappy", "scattered")
+KINDS = ("double_sided", "many_sided", "random", "mixed") + PLAN_EDGE_KINDS
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -67,7 +78,7 @@ def test_vendor_profiles_bit_identical(kind, profile):
     assert check.vectorised.acts_executed == 8000
 
 
-@pytest.mark.parametrize("kind", ("double_sided", "mixed"))
+@pytest.mark.parametrize("kind", ("double_sided", "mixed") + PLAN_EDGE_KINDS)
 def test_ptrr_and_rfm_bit_identical(kind):
     dimm = make_dimm(
         ptrr=PtrrShield(enabled=True, para_prob=0.02),
@@ -80,6 +91,96 @@ def test_ptrr_and_rfm_bit_identical(kind):
     check = cross_check(dimm, workload, disturbance_gain=24.0)
     assert check.identical, check.mismatches[:5]
     assert check.vectorised.trr_refreshes > 0
+
+
+@pytest.mark.parametrize("kind", PLAN_EDGE_KINDS)
+def test_plan_edge_streams_flip_bit_identically(kind):
+    """The plan's edges, on a vulnerable DIMM so peaks turn into flips."""
+    dimm = make_dimm(median=3_000.0)
+    workload = synthetic_workload(
+        dimm, acts_per_bank=4000, banks=2, seed=5, kind=kind
+    )
+    t_refi = dimm.timing.t_refi
+    for times, rows in workload.values():
+        n = int(times[-1] // t_refi) + 1
+        per_interval = np.diff(
+            np.searchsorted(times, np.arange(n + 1) * t_refi)
+        )
+        if kind == "gappy":
+            assert (per_interval == 0).any()
+        else:
+            span = int(rows.max()) - int(rows.min()) + 5
+            assert span > device_mod.PLAN_BLOCK_CELLS
+    check = cross_check(dimm, workload, disturbance_gain=24.0)
+    assert check.identical, check.mismatches[:5]
+    assert check.vectorised.flip_count > 0
+
+
+@pytest.mark.parametrize("cells, acts", [(64, 1 << 14), (1 << 15, 97), (7, 1)])
+def test_small_plan_blocks_bit_identical(monkeypatch, cells, acts):
+    """Sampler, RAA and pTRR state carries exactly across plan blocks.
+
+    A 20-REF refresh window makes each periodic-refresh slot 3,276 rows
+    wide, so the slots sweep every location's window within the stream;
+    sparse ACTs and a low median make victims accumulate over several
+    intervals, so every pTRR and periodic refresh shows in the flips.
+    """
+    monkeypatch.setattr(device_mod, "PLAN_BLOCK_CELLS", cells)
+    monkeypatch.setattr(device_mod, "PLAN_BLOCK_ACTS", acts)
+    timing = DdrTiming()
+    dimm = make_dimm(
+        ptrr=PtrrShield(enabled=True, para_prob=0.01),
+        rfm=RfmConfig(enabled=True),
+        rfm_threshold=40,
+        median=1_000.0,
+        timing=DdrTiming(refresh_window=20 * timing.t_refi),
+    )
+    workload = synthetic_workload(
+        dimm, acts_per_bank=6000, banks=1, seed=4, kind="gappy",
+        act_spacing_ns=40.0,
+    )
+    check = cross_check(dimm, workload, disturbance_gain=24.0)
+    assert check.identical, check.mismatches[:5]
+    assert check.vectorised.flip_count > 0
+    batched = batch_cross_check(
+        dimm, workload, BATCH_DELTAS, disturbance_gain=24.0
+    )
+    assert batched.batch_supported, batched.batch_unsupported_reason
+    assert batched.identical, batched.mismatches[:5]
+
+
+def _window_points(device, workload):
+    with telemetry_session(
+        trace_memory=True, trace_detail="window", metrics=True
+    ) as obs:
+        device.hammer(workload, disturbance_gain=24.0)
+        events = obs.tracer.memory_events
+    return [
+        {k: v for k, v in event.items() if k != WALL_KEY}
+        for event in events
+        if event.get("name") == "dram.window"
+    ]
+
+
+@pytest.mark.parametrize("kind", ("mixed",) + PLAN_EDGE_KINDS)
+def test_window_trace_points_match_reference(kind):
+    """``--trace-detail window`` points: one per interval, as the oracle's."""
+    dimm = make_dimm(
+        ptrr=PtrrShield(enabled=True, para_prob=0.02),
+        rfm=RfmConfig(enabled=True),
+        rfm_threshold=40,
+    )
+    workload = synthetic_workload(
+        dimm, acts_per_bank=3000, banks=2, seed=6, kind=kind
+    )
+    vectorised = _window_points(vector_twin(dimm), workload)
+    reference = _window_points(reference_twin(dimm), workload)
+    assert vectorised == reference
+    t_refi = dimm.timing.t_refi
+    assert len(vectorised) == sum(
+        int(times[-1] // t_refi) + 1 for times, _ in workload.values()
+    )
+    assert any(p["attrs"]["trr_refreshes"] for p in vectorised)
 
 
 def test_randomized_streams_bit_identical():
@@ -149,7 +250,7 @@ def test_metric_snapshots_compared_not_just_counts():
 BATCH_DELTAS = (0, 96, 4096, -48)
 
 
-@pytest.mark.parametrize("kind", ("double_sided", "mixed"))
+@pytest.mark.parametrize("kind", ("double_sided", "mixed", "gappy"))
 @pytest.mark.parametrize("profile", sorted(VENDOR_TRR_PROFILES))
 def test_batch_vendor_profiles_bit_identical(kind, profile):
     dimm = make_dimm(trr=VENDOR_TRR_PROFILES[profile])
@@ -166,7 +267,7 @@ def test_batch_vendor_profiles_bit_identical(kind, profile):
         assert trace.acts_executed == 8000
 
 
-@pytest.mark.parametrize("kind", ("double_sided", "mixed"))
+@pytest.mark.parametrize("kind", ("double_sided", "mixed", "gappy"))
 def test_batch_ptrr_and_rfm_bit_identical(kind):
     dimm = make_dimm(
         ptrr=PtrrShield(enabled=True, para_prob=0.02),
@@ -240,8 +341,6 @@ def test_batch_edge_clamped_falls_back_and_still_matches():
 
 
 def test_batch_supported_rejects_oversized_matrices():
-    from repro.dram import device as device_mod
-
     dimm = make_dimm()
     workload = synthetic_workload(
         dimm, acts_per_bank=2000, banks=1, seed=9, kind="random"

@@ -1,9 +1,16 @@
 """TRR sampler dynamics and pTRR."""
 
 import numpy as np
+import pytest
 
 from repro.common.rng import RngStream
-from repro.dram.trr import PtrrShield, TrrConfig, TrrSampler
+from repro.dram.trr import (
+    VENDOR_TRR_PROFILES,
+    PtrrShield,
+    TrrConfig,
+    TrrSampler,
+)
+from repro.obs.metrics import MetricsRegistry
 
 
 def make_sampler(**kwargs) -> TrrSampler:
@@ -117,3 +124,99 @@ def test_vendor_profiles_differ_in_overflow_resistance():
     m_sampler.observe(stream)
     assert len(h_sampler._counts) <= 4
     assert len(m_sampler._counts) >= 9
+
+
+# ----------------------------------------------------------------------
+# The interval plan: one draw and one pass for a whole stream
+# ----------------------------------------------------------------------
+INTERVAL_SIZES = (
+    (5, 0, 17, 0, 0, 3),
+    (0, 0, 0),
+    (1,),
+    (40, 1, 0, 2, 300, 0, 7),
+)
+
+
+@pytest.mark.parametrize("sizes", INTERVAL_SIZES)
+@pytest.mark.parametrize("stream", ("trr", "ptrr"))
+def test_one_draw_equals_per_interval_draws(sizes, stream):
+    """``random(sum(n_t))`` is the per-interval ``random(n_t)`` sequence.
+
+    The loop drew once per non-empty interval (``observe`` returns before
+    drawing on an empty one, ``refresh_mask`` draws nothing for zero
+    ACTs); the plan draws once for the stream.  Both must consume the
+    named stream identically, value for value.
+    """
+    hoisted = RngStream(9, "dimm").child(stream, 0)
+    stepped = RngStream(9, "dimm").child(stream, 0)
+    whole = hoisted.random(sum(sizes))
+    parts = [stepped.random(n) for n in sizes if n]
+    joined = np.concatenate(parts) if parts else np.empty(0)
+    assert np.array_equal(whole, joined)
+    assert hoisted.random(4).tolist() == stepped.random(4).tolist()
+    shield = PtrrShield(enabled=True, para_prob=0.3)
+    one = shield.refresh_mask(
+        sum(sizes), RngStream(9, "dimm").child(stream, 1)
+    )
+    rng = RngStream(9, "dimm").child(stream, 1)
+    per_interval = [shield.refresh_mask(n, rng) for n in sizes]
+    assert np.array_equal(one, np.concatenate(per_interval))
+
+
+def _interval_stream(sizes, seed, distinct=14):
+    rng = np.random.default_rng(seed)
+    rows = 1000 + rng.integers(0, distinct, sum(sizes)).astype(np.int64)
+    bounds = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+    return rows, bounds
+
+
+@pytest.mark.parametrize("sizes", INTERVAL_SIZES)
+@pytest.mark.parametrize(
+    "config",
+    [
+        *VENDOR_TRR_PROFILES.values(),
+        TrrConfig(capacity=3, sample_prob=1.0, refreshes_per_ref=1),
+        TrrConfig(capacity=1, sample_prob=0.2, flush_every_refs=3),
+    ],
+)
+def test_plan_equals_per_interval_observe_and_on_ref(config, sizes):
+    """A whole-stream plan: same targets, table and telemetry tallies."""
+    rows, bounds = _interval_stream(sizes, seed=len(sizes))
+    planned = TrrSampler(config, RngStream(4, "trr"))
+    stepped = TrrSampler(config, RngStream(4, "trr"))
+    planned.metrics = stepped.metrics = MetricsRegistry(enabled=True).batch()
+    targets = planned.plan(rows, bounds, 1000, 14)
+    expected = []
+    for t in range(len(sizes)):
+        stepped.observe(rows[bounds[t]:bounds[t + 1]])
+        expected.append(stepped.on_ref())
+    assert targets == expected
+    assert list(planned._counts.items()) == list(stepped._counts.items())
+    assert planned._refs_since_flush == stepped._refs_since_flush
+    assert planned.capture_tallies() == stepped.capture_tallies()
+    # Both consumed the sampling stream identically.
+    assert planned.rng.random(3).tolist() == stepped.rng.random(3).tolist()
+
+
+def test_plan_continues_a_sampler_across_calls():
+    """Planning a stream in pieces equals planning it whole."""
+    config = VENDOR_TRR_PROFILES["S"]
+    sizes = (30, 0, 12, 45, 0, 9, 60, 2)
+    rows, bounds = _interval_stream(sizes, seed=3)
+    whole = TrrSampler(config, RngStream(6, "trr"))
+    pieces = TrrSampler(config, RngStream(6, "trr"))
+    expected = whole.plan(rows, bounds, 1000, 14)
+    cut = 3
+    got = pieces.plan(rows[:bounds[cut]], bounds[:cut + 1], 1000, 14)
+    got += pieces.plan(
+        rows[bounds[cut]:], bounds[cut:] - bounds[cut], 1000, 14
+    )
+    assert got == expected
+    assert list(pieces._counts.items()) == list(whole._counts.items())
+
+
+def test_plan_rejects_table_rows_outside_the_window():
+    sampler = make_sampler()
+    sampler.observe(np.array([5, 5, 6]))
+    with pytest.raises(ValueError):
+        sampler.plan(np.array([100, 101]), np.array([0, 2]), 100, 4)

@@ -7,6 +7,10 @@ tests pin the round trip, the read-only contract, and segment hygiene.
 """
 
 import glob
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -106,3 +110,51 @@ def test_machine_state_export_adopt_seeds_worker_caches():
 def test_export_returns_none_for_pristine_machine():
     machine = build_machine("comet_lake", "S3", scale=QUICK_SCALE, seed=78)
     assert export_machine_state(machine) is None
+
+
+_TWO_POOLS = textwrap.dedent(
+    """
+    import os
+
+    from repro import QUICK_SCALE, RunBudget, build_machine, rhohammer_config
+    from repro.exploit.endtoend import canonical_compact_pattern
+    from repro.patterns.sweep import sweep_pattern
+
+    machine = build_machine("comet_lake", "S3", scale=QUICK_SCALE)
+    config = rhohammer_config(nop_count=60, num_banks=3)
+    for name in ("first", "second"):
+        budget = RunBudget(
+            max_trials=8, workers=2, backend="persistent", batch_locations=2
+        )
+        sweep_pattern(
+            machine, config, canonical_compact_pattern(), budget,
+            QUICK_SCALE, seed_name=name,
+        )
+    print(os.getpid())
+    """
+)
+
+
+def test_consecutive_state_exporting_pools_keep_tracker_quiet():
+    """A second pool's workers share the parent's resource tracker.
+
+    From a process's second state-exporting pool on, workers fork with
+    the parent's tracker running; a worker that unregistered the segment
+    it attached removed the parent's entry, and the parent's unlink then
+    made the tracker print a ``KeyError`` traceback.
+    """
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", _TWO_POOLS],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "KeyError" not in proc.stderr, proc.stderr
+    assert "Traceback" not in proc.stderr, proc.stderr
+    # Every segment the child published (named after its pid) is gone.
+    pid = int(proc.stdout.split()[-1])
+    assert not glob.glob(f"/dev/shm/{SEGMENT_PREFIX}_{pid}_*")
