@@ -43,7 +43,15 @@ Vectorisation invariants the array code relies on (documented in
   name-derived RNG streams, never on disturbance, so all of them can be
   made before the disturbance loop runs;
 * every disturbed row lies within +/-2 of some aggressor, so the compact
-  window [min(rows)-2, max(rows)+2] covers all state.
+  window [min(rows)-2, max(rows)+2] covers all state.  The window is never
+  clamped: at a device edge it reaches up to two rows past it, and those
+  columns take deposits and refreshes like any other but are never
+  counted at flip accounting.
+
+Every call, for one location or many, runs one driver
+(:meth:`Dimm._hammer_locations`): each bank's stream is planned and
+played once for all locations, then flips and telemetry are emitted
+location by location.  :meth:`Dimm.hammer` is its one-location case.
 """
 
 from __future__ import annotations
@@ -132,11 +140,15 @@ class HammerResult:
     trr_refreshes: int
 
 
-#: Ceiling on one bank's batched state matrices — disturbance, peak and
-#: (with telemetry) peak-window, each ``locations x span x 8`` bytes.
-#: Above this :meth:`Dimm.batch_supported` refuses and the batch runs as
-#: the per-trial loop instead.
+#: Ceiling on one bank's state matrices in one pass — disturbance, peak
+#: and (with telemetry) peak-window, each ``locations x span x 8`` bytes.
+#: :meth:`Dimm.hammer_batch` runs a larger batch as several passes, each
+#: with as many locations as fit (at least one).
 BATCH_MATRIX_BYTES_MAX = 128 * 1024 * 1024
+
+#: The row shifts of a one-location call.
+_NO_SHIFT = np.zeros(1, dtype=np.int64)
+_NO_SHIFT.setflags(write=False)
 
 
 @dataclass
@@ -324,10 +336,10 @@ class _IntervalPlan:
             victim_interval = np.repeat(
                 np.concatenate(agg_interval), _NEIGHBOUR_OFFSETS.size
             )
-            # Out-of-window victims are out of the device by construction.
-            inside = (victims >= 0) & (victims < span)
-            zero.append((victims[inside][:, None] + loc_base).ravel())
-            zero_interval.append(np.repeat(victim_interval[inside], n_loc))
+            # The window reaches two rows past every aggressor, so every
+            # refreshed victim is a window column.
+            zero.append((victims[:, None] + loc_base).ravel())
+            zero_interval.append(np.repeat(victim_interval, n_loc))
         # Periodic refresh: device rows [slot, slot + rows_per_ref) of the
         # interval's slot, intersected with each location's window.
         slot_row = (
@@ -433,18 +445,20 @@ class _BankWindow:
 
 
 @dataclass
-class _BankBatchRecord:
-    """One bank's computed batch state, awaiting location-major emission."""
+class _BankPass:
+    """One bank's played stream, holding only what emission reads.
+
+    The plan's block buffers and the disturbance matrix are dropped once
+    the stream is played; the peaks stay until every location is emitted.
+    """
 
     bank: int
-    base_lo: int  # location 0's window origin (device row)
-    deltas: np.ndarray
+    lo: int  # location 0's window origin (device row)
     peak: np.ndarray  # (locations, span)
-    peak_window: np.ndarray | None
+    peak_window: np.ndarray | None  # with telemetry
     trr_refreshes: int  # shared: TRR/RFM decisions are shift-invariant
-    windows_total: int
-    acts_per_window: np.ndarray | None
-    sampler: "TrrSampler | None"
+    acts_per_interval: list[int] | None  # with telemetry
+    sampler: TrrSampler | None  # with telemetry, to replay ``tallies``
     tallies: tuple | None
 
 
@@ -503,8 +517,9 @@ class Dimm:
         """Execute activation streams and return the induced flips.
 
         ``bank_streams`` maps bank index -> (times_ns, rows), both 1-D
-        arrays sorted by time.  Streams on different banks are independent
-        (each bank has its own row buffer, sampler and refresh phase).
+        arrays sorted by time, with every row on the device.  Streams on
+        different banks are independent (each bank has its own row
+        buffer, sampler and refresh phase).
 
         ``disturbance_gain`` implements the simulation scale: when a
         campaign runs 1/N of the paper's per-pattern activations, each
@@ -512,78 +527,27 @@ class Dimm:
         disturbance.  TRR and refresh dynamics are unaffected — only the
         accumulation speed changes.
         """
-        flips: list[FlipEvent] = []
-        flip_total = 0
-        acts = 0
-        trr_refreshes = 0
-        end_time = 0.0
-        for bank, (times, rows) in bank_streams.items():
-            if times.shape != rows.shape:
-                raise SimulationError("times and rows must align")
-            if times.size == 0:
-                continue
-            acts += int(times.size)
-            end_time = max(end_time, float(times[-1]))
-            bank_flips, bank_trr = self._hammer_bank(
-                bank, times, rows, collect_events, disturbance_gain
-            )
-            trr_refreshes += bank_trr
-            if collect_events:
-                flips.extend(bank_flips)
-            else:
-                flip_total += bank_flips
-        if collect_events:
-            flip_total = len(flips)
-        if OBS.enabled:
-            metrics = OBS.metrics
-            metrics.counter("dram.hammer_calls").inc()
-            metrics.counter("dram.acts_total").inc(acts)
-            metrics.counter("dram.trr_refreshes_total").inc(trr_refreshes)
-            metrics.histogram("dram.flips_per_hammer").observe(flip_total)
-        return HammerResult(
-            flips=tuple(flips),
-            flip_count=flip_total,
-            acts_executed=acts,
-            duration_ns=end_time,
-            trr_refreshes=trr_refreshes,
-        )
+        banks = self._bank_list(bank_streams, _NO_SHIFT)
+        return self._hammer_locations(
+            banks, _NO_SHIFT, collect_events, disturbance_gain
+        )[0]
 
-    # ------------------------------------------------------------------
-    # Batched multi-location execution
-    # ------------------------------------------------------------------
     def batch_supported(
         self,
         bank_streams: dict[int, tuple[np.ndarray, np.ndarray]],
         row_deltas: np.ndarray,
     ) -> tuple[bool, str]:
-        """Whether :meth:`hammer_batch` may vectorise this workload.
+        """Whether :meth:`hammer_batch` runs its locations in one driver.
 
-        The batched pass needs every location's compact victim window to
-        be an exact shift of location 0's: a window clamped at a device
-        edge changes its span and breaks the shared window coordinates.
-        Per-window trace points would need per-location interleaving a
-        single pass cannot provide, and the ``(locations x span)`` state
-        matrices must stay within :data:`BATCH_MATRIX_BYTES_MAX`.
+        Per-window trace points need per-trial interleaving that a shared
+        pass cannot provide.  Windows past a device edge are padded, and a
+        batch over :data:`BATCH_MATRIX_BYTES_MAX` runs as several passes,
+        so neither needs the per-trial loop.
         """
         if OBS.tracer.enabled and OBS.tracer.detail == "window":
             return False, "window-detail tracing needs per-trial interleaving"
-        deltas = np.asarray(row_deltas, dtype=np.int64)
-        if deltas.size == 0:
+        if np.size(row_deltas) == 0:
             return False, "empty location batch"
-        rows_total = self.spec.geometry.rows
-        n_loc = int(deltas.size)
-        d_min = int(deltas.min())
-        d_max = int(deltas.max())
-        for bank, (times, rows) in bank_streams.items():
-            if times.size == 0:
-                continue
-            r_lo = int(rows.min())
-            r_hi = int(rows.max())
-            if r_lo + d_min - 2 < 0 or r_hi + d_max + 2 > rows_total - 1:
-                return False, f"bank {bank} window clamps at a device edge"
-            span = r_hi - r_lo + 5
-            if 3 * n_loc * span * 8 > BATCH_MATRIX_BYTES_MAX:
-                return False, f"bank {bank} batch matrices exceed memory cap"
         return True, ""
 
     def hammer_batch(
@@ -607,264 +571,232 @@ class Dimm:
         because every per-interval decision is invariant under a uniform
         row shift: the per-interval window-coordinate ACT histograms, the
         :class:`TrrSampler` draws (its RNG child is purely name-derived,
-        so every ``hammer()`` call replays the same stream), the pTRR
-        mask and the RAA targets are all base-row-independent in window
-        coordinates.  Only the periodic-refresh range intersection and
-        the final :class:`CellPopulation` weak-cell lookups differ per
-        location, and both are applied per location.  Workloads
-        :meth:`batch_supported` rejects transparently run the per-trial
-        loop above instead.
+        so every call replays the same stream), the pTRR mask and the RAA
+        targets are all base-row-independent in window coordinates.  Only
+        the periodic-refresh range intersection, the device-edge padding
+        and the final :class:`CellPopulation` weak-cell lookups differ per
+        location, and all are applied per location.  This method only
+        decides how the locations are split into driver passes; one
+        location, or a batch :meth:`batch_supported` refuses, runs as
+        :meth:`hammer` calls.
         """
         deltas = np.ascontiguousarray(np.asarray(row_deltas, dtype=np.int64))
         supported, _reason = self.batch_supported(bank_streams, deltas)
         if not supported or deltas.size == 1:
-            results = []
-            for delta in deltas.tolist():
-                shifted = {
-                    bank: (times, rows + delta)
-                    for bank, (times, rows) in bank_streams.items()
-                }
-                results.append(
-                    self.hammer(
-                        shifted,
-                        collect_events=collect_events,
-                        disturbance_gain=disturbance_gain,
-                    )
+            return [
+                self.hammer(
+                    {
+                        bank: (times, rows + delta)
+                        for bank, (times, rows) in bank_streams.items()
+                    },
+                    collect_events=collect_events,
+                    disturbance_gain=disturbance_gain,
                 )
-            return results
+                for delta in deltas.tolist()
+            ]
+        banks = self._bank_list(bank_streams, deltas)
+        span = max(
+            (int(rows.max()) - int(rows.min()) + 5 for _, _, rows in banks),
+            default=1,
+        )
+        per_pass = max(1, BATCH_MATRIX_BYTES_MAX // (3 * span * 8))
+        results: list[HammerResult] = []
+        for first in range(0, deltas.size, per_pass):
+            results += self._hammer_locations(
+                banks,
+                deltas[first:first + per_pass],
+                collect_events,
+                disturbance_gain,
+            )
+        return results
 
-        telemetry = OBS.enabled
-        n_loc = int(deltas.size)
-        acts = 0
-        end_time = 0.0
-        records: list[_BankBatchRecord] = []
+    def _bank_list(
+        self,
+        bank_streams: dict[int, tuple[np.ndarray, np.ndarray]],
+        deltas: np.ndarray,
+    ) -> list[tuple[int, np.ndarray, np.ndarray]]:
+        """The non-empty ``(bank, times, rows)`` streams, validated.
+
+        Times and rows must align, and every location's rows must lie on
+        the device: the padded window would turn an off-device ACT into
+        silently wrong flips.
+        """
+        rows_total = self.spec.geometry.rows
+        d_lo = int(deltas.min())
+        d_hi = int(deltas.max())
+        banks = []
         for bank, (times, rows) in bank_streams.items():
             if times.shape != rows.shape:
                 raise SimulationError("times and rows must align")
             if times.size == 0:
                 continue
-            acts += int(times.size)
-            end_time = max(end_time, float(times[-1]))
-            records.append(
-                self._hammer_bank_batch(
-                    bank, times, rows, deltas, disturbance_gain, telemetry
+            rows = np.ascontiguousarray(rows, dtype=np.int64)
+            if (
+                int(rows.min()) + d_lo < 0
+                or int(rows.max()) + d_hi >= rows_total
+            ):
+                raise SimulationError(
+                    f"bank {bank} activates rows outside the device's "
+                    f"{rows_total} rows"
                 )
-            )
-        # Emission: flip accounting and telemetry replayed location-major,
-        # in exactly the order the per-trial loop would have produced.
-        results = []
-        metrics = OBS.metrics if telemetry else None
-        for i in range(n_loc):
-            flips: list[FlipEvent] = []
-            flip_total = 0
-            trr_refreshes = 0
-            for rec in records:
-                bank_flips, counted = self._emit_bank_location(
-                    rec, i, collect_events, telemetry
-                )
-                trr_refreshes += rec.trr_refreshes
-                if collect_events:
-                    flips.extend(bank_flips)
-                else:
-                    flip_total += counted
-            if collect_events:
-                flip_total = len(flips)
-            if metrics is not None:
-                metrics.counter("dram.hammer_calls").inc()
-                metrics.counter("dram.acts_total").inc(acts)
-                metrics.counter("dram.trr_refreshes_total").inc(trr_refreshes)
-                metrics.histogram("dram.flips_per_hammer").observe(flip_total)
-            results.append(
-                HammerResult(
-                    flips=tuple(flips),
-                    flip_count=flip_total,
-                    acts_executed=acts,
-                    duration_ns=end_time,
-                    trr_refreshes=trr_refreshes,
-                )
-            )
-        return results
+            banks.append((bank, times, rows))
+        return banks
 
-    def _hammer_bank_batch(
+    def _hammer_locations(
         self,
-        bank: int,
-        times: np.ndarray,
-        rows: np.ndarray,
+        banks: list[tuple[int, np.ndarray, np.ndarray]],
         deltas: np.ndarray,
+        collect_events: bool,
         disturbance_gain: float,
-        telemetry: bool,
-    ) -> _BankBatchRecord:
-        """One bank's interval loop, run once for a whole location batch.
+    ) -> list[HammerResult]:
+        """The driver: play each bank once for all locations, then emit.
 
-        Plans and plays location 0's stream exactly as :meth:`_hammer_bank`
-        does, over ``(locations, span)`` state; telemetry is *captured*
-        (sampler tallies, window tallies) rather than emitted —
-        :meth:`_emit_bank_location` replays it per location afterwards.
+        Location ``i`` is every bank stream shifted by ``deltas[i]``.
+        Flip accounting and telemetry are emitted location-major, in
+        exactly the order separate one-location calls would produce.
         """
-        rows = np.ascontiguousarray(rows, dtype=np.int64)
-        # batch_supported guarantees no location's window clamps, so the
-        # shared window origin needs no edge clamping.
-        lo = int(rows.min()) - 2
-        span = int(rows.max()) + 2 - lo + 1
-        # Any non-None batch makes the sampler accumulate its plain-int
-        # tallies; this sentinel batch itself is never flushed.
-        plan, state = self._play_bank(
-            bank, times, rows, lo, span, lo + deltas, disturbance_gain,
-            OBS.metrics.batch() if telemetry else None, False,
-        )
-        return _BankBatchRecord(
-            bank=bank,
-            base_lo=lo,
-            deltas=deltas,
-            peak=state.peak,
-            peak_window=state.peak_window,
-            trr_refreshes=plan.trr_refreshes,
-            windows_total=plan.n_intervals if telemetry else 0,
-            acts_per_window=np.diff(plan.bounds) if telemetry else None,
-            sampler=plan.sampler if telemetry else None,
-            tallies=plan.sampler.capture_tallies() if telemetry else None,
-        )
+        telemetry = OBS.enabled
+        passes = [
+            self._play_bank(bank, times, rows, deltas, disturbance_gain)
+            for bank, times, rows in banks
+        ]
+        return [
+            self._result(
+                banks,
+                [
+                    self._emit_bank_location(
+                        p, i, delta, collect_events, telemetry
+                    )
+                    for p in passes
+                ],
+                collect_events,
+            )
+            for i, delta in enumerate(deltas.tolist())
+        ]
 
     def _play_bank(
         self,
         bank: int,
         times: np.ndarray,
         rows: np.ndarray,
-        lo: int,
-        span: int,
-        los: np.ndarray,
+        deltas: np.ndarray,
         disturbance_gain: float,
-        metrics,
-        trace_windows: bool,
-    ) -> tuple[_IntervalPlan, _BankWindow]:
-        """Plan one bank stream and play it over ``len(los)`` locations."""
-        plan = _IntervalPlan(
-            self, bank, times, rows, lo, span, los, disturbance_gain,
-            metrics, trace_windows,
+    ) -> _BankPass:
+        """Plan one bank stream and play it over every location."""
+        telemetry = OBS.enabled
+        trace_windows = (
+            telemetry and OBS.tracer.enabled and OBS.tracer.detail == "window"
         )
-        state = _BankWindow(los, span, track_windows=metrics is not None)
+        lo = int(rows.min()) - 2
+        span = int(rows.max()) + 2 - lo + 1
+        # Any non-None batch makes the sampler tally its telemetry; this
+        # one is never flushed: each location replays the tallies.
+        plan = _IntervalPlan(
+            self, bank, times, rows, lo, span, lo + deltas, disturbance_gain,
+            OBS.metrics.batch() if telemetry else None, trace_windows,
+        )
+        state = _BankWindow(lo + deltas, span, track_windows=telemetry)
         state.run(plan.blocks())
-        return plan, state
+        return _BankPass(
+            bank=bank,
+            lo=lo,
+            peak=state.peak,
+            peak_window=state.peak_window,
+            trr_refreshes=plan.trr_refreshes,
+            acts_per_interval=(
+                np.diff(plan.bounds).tolist() if telemetry else None
+            ),
+            sampler=plan.sampler if telemetry else None,
+            tallies=plan.sampler.capture_tallies() if telemetry else None,
+        )
 
     def _emit_bank_location(
         self,
-        rec: _BankBatchRecord,
+        p: _BankPass,
         i: int,
+        delta: int,
         collect_events: bool,
         telemetry: bool,
     ):
         """Flip accounting + metrics for one (bank, location) pair.
 
-        Reproduces the tail of :meth:`_hammer_bank` — flip metrics in
-        ascending-victim order, sampler tally flush (restored from the
-        shared capture), window counters, then event materialisation —
-        so the per-key emission sequence matches a per-trial run.
+        Flip metrics in ascending-victim order, the sampler tally flush
+        (replayed from the shared capture), window counters, then event
+        materialisation.  Returns ``(flips, trr_refreshes)``, with flips
+        as events or, without ``collect_events``, as a count.
         """
-        lo_i = rec.base_lo + int(rec.deltas[i])
-        peak_row = rec.peak[i]
-        touched = np.nonzero(peak_row > 0.0)[0]
-        victims = touched + lo_i
-        peaks = peak_row[touched]
-        counts = self.cells.flip_counts_for(rec.bank, victims, peaks)
+        lo = p.lo + delta
+        # Padding columns past a device edge are never counted.
+        first = max(0, -lo)
+        last = self.spec.geometry.rows - lo
+        peak = p.peak[i, first:last]
+        touched = np.nonzero(peak > 0.0)[0]
+        victims = touched + (lo + first)
+        counts = self.cells.flip_counts_for(p.bank, victims, peak[touched])
         if telemetry:
             batch = OBS.metrics.batch()
-            flipped = np.nonzero(counts)[0]
-            windows = (
-                rec.peak_window[i][touched]
-                if rec.peak_window is not None
-                else np.zeros(touched.size, dtype=np.int64)
-            )
-            for j in flipped.tolist():
+            windows = p.peak_window[i, first:last][touched]
+            for j in np.nonzero(counts)[0].tolist():
                 self._flip_metrics(batch, int(counts[j]), int(windows[j]))
-            sampler = rec.sampler
+            sampler = p.sampler
             sampler.metrics = batch
-            sampler.restore_tallies(rec.tallies)
+            sampler.restore_tallies(p.tallies)
             sampler.flush_metrics()
-            batch.inc("dram.windows_total", rec.windows_total)
-            batch.observe_many(
-                "dram.acts_per_window", rec.acts_per_window.tolist()
-            )
+            batch.inc("dram.windows_total", len(p.acts_per_interval))
+            batch.observe_many("dram.acts_per_window", p.acts_per_interval)
             batch.flush()
         if not collect_events:
-            return None, int(counts.sum())
+            return int(counts.sum()), p.trr_refreshes
         flips: list[FlipEvent] = []
         for j in np.nonzero(counts)[0].tolist():
             victim = int(victims[j])
-            prof = self.cells.profile(rec.bank, victim)
+            prof = self.cells.profile(p.bank, victim)
             flips.extend(
                 FlipEvent(
-                    bank=rec.bank,
+                    bank=p.bank,
                     row=victim,
                     bit_index=int(prof.bit_indices[k]),
                     direction=int(prof.directions[k]),
                 )
                 for k in range(int(counts[j]))
             )
-        return flips, len(flips)
+        return flips, p.trr_refreshes
 
-    # ------------------------------------------------------------------
-    def _hammer_bank(
-        self,
-        bank: int,
-        times: np.ndarray,
-        rows: np.ndarray,
+    @staticmethod
+    def _result(
+        banks: list[tuple[int, np.ndarray, np.ndarray]],
+        bank_outcomes: list[tuple],
         collect_events: bool,
-        disturbance_gain: float,
-    ):
-        telemetry = OBS.enabled
-        trace_windows = (
-            telemetry and OBS.tracer.enabled and OBS.tracer.detail == "window"
-        )
-        # Phase-batched metrics: the window loop and the TRR sampler
-        # accumulate into one batch, applied to the registry exactly once
-        # per bank (see MetricsBatch for the exactness argument).
-        batch = OBS.metrics.batch() if telemetry else None
-        rows = np.ascontiguousarray(rows, dtype=np.int64)
-        # Compact victim window: every disturbed row is within +/-2 of an
-        # aggressor, so state arrays only span [min-2, max+2] (clamped).
-        geometry = self.spec.geometry
-        lo = max(0, int(rows.min()) - 2)
-        hi = min(geometry.rows - 1, int(rows.max()) + 2)
-        plan, state = self._play_bank(
-            bank, times, rows, lo, hi - lo + 1, np.array([lo]),
-            disturbance_gain, batch, trace_windows,
-        )
-        sampler = plan.sampler
-        trr_refreshes = plan.trr_refreshes
-
-        # Peak disturbance -> flips, in one vectorised pass over victims.
-        peak = state.peak[0]
-        touched = np.nonzero(peak > 0.0)[0]
-        victims = touched + lo
-        peaks = peak[touched]
-        counts = self.cells.flip_counts_for(bank, victims, peaks)
-        if batch is not None:
-            flipped = np.nonzero(counts)[0]
-            windows = state.peak_window[0][touched]
-            for i in flipped.tolist():
-                self._flip_metrics(batch, int(counts[i]), int(windows[i]))
-            sampler.flush_metrics()
-            batch.inc("dram.windows_total", plan.n_intervals)
-            batch.observe_many(
-                "dram.acts_per_window", np.diff(plan.bounds).tolist()
-            )
-            batch.flush()
-        if not collect_events:
-            return int(counts.sum()), trr_refreshes
+    ) -> HammerResult:
+        """One location's result from its per-bank ``(flips, trr)`` pairs."""
         flips: list[FlipEvent] = []
-        for i in np.nonzero(counts)[0].tolist():
-            victim = int(victims[i])
-            prof = self.cells.profile(bank, victim)
-            flips.extend(
-                FlipEvent(
-                    bank=bank,
-                    row=victim,
-                    bit_index=int(prof.bit_indices[j]),
-                    direction=int(prof.directions[j]),
-                )
-                for j in range(int(counts[i]))
-            )
-        return flips, trr_refreshes
+        flip_total = 0
+        trr_refreshes = 0
+        for bank_flips, bank_trr in bank_outcomes:
+            trr_refreshes += bank_trr
+            if collect_events:
+                flips.extend(bank_flips)
+            else:
+                flip_total += bank_flips
+        if collect_events:
+            flip_total = len(flips)
+        acts = sum(int(times.size) for _, times, _ in banks)
+        end_time = max(
+            (float(times[-1]) for _, times, _ in banks), default=0.0
+        )
+        if OBS.enabled:
+            metrics = OBS.metrics
+            metrics.counter("dram.hammer_calls").inc()
+            metrics.counter("dram.acts_total").inc(acts)
+            metrics.counter("dram.trr_refreshes_total").inc(trr_refreshes)
+            metrics.histogram("dram.flips_per_hammer").observe(flip_total)
+        return HammerResult(
+            flips=tuple(flips),
+            flip_count=flip_total,
+            acts_executed=acts,
+            duration_ns=end_time,
+            trr_refreshes=trr_refreshes,
+        )
 
     @staticmethod
     def _flip_metrics(batch, count: int, window: int) -> None:

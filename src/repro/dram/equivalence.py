@@ -2,39 +2,44 @@
 
 :class:`~repro.dram.device.Dimm` runs a fully vectorised bank loop;
 :class:`~repro.dram.reference.ReferenceDimm` preserves the original
-per-row / per-ACT implementation.  This module runs the *same* workload
-through both on freshly-built twins and demands bit-identical outcomes:
+per-row / per-ACT implementation.  :func:`cross_check` runs the *same*
+workload, at one or many base-row-shifted locations, through three
+freshly-built twins and demands bit-identical outcomes:
 
-* the flip-event multiset (compared as sorted ``(bank, row, bit,
-  direction)`` keys — the two paths emit events in different but
-  documented orders),
-* ``flip_count``, ``trr_refreshes``, ``acts_executed``, ``duration_ns``,
-* and the full OBS metrics snapshot (counters, gauges and histograms
-  recorded while telemetry is enabled), which pins down the shared
-  telemetry semantics — e.g. the TRR sampler's inserted/hit/escaped
+* the batched twin (:meth:`Dimm.hammer_batch
+  <repro.dram.device.Dimm.hammer_batch>`) and the per-location twin (one
+  :meth:`Dimm.hammer <repro.dram.device.Dimm.hammer>` call per location)
+  must agree on *everything*, flip-event emission order included;
+* the reference twin emits events in a different documented order, so its
+  flips are compared as sorted ``(bank, row, bit, direction)`` multisets;
+* per location: ``flip_count``, ``trr_refreshes``, ``acts_executed`` and
+  ``duration_ns``;
+* and the full OBS metrics snapshot of each twin (counters, gauges and
+  histograms recorded while telemetry is enabled), which pins down the
+  shared telemetry semantics — e.g. the TRR sampler's inserted/hit/escaped
   accounting — not just the end result.
 
 ``cross_check`` is used by the equivalence test suite
 (``tests/test_dram_equivalence.py``) across patterns x TRR vendor
-profiles x pTRR x RFM, and by the ``dram`` microbench in
-:mod:`repro.obs.bench`, which times both paths on one workload and gates
-the recorded speedup.
+profiles x pTRR x RFM x base rows, and by the ``dram`` microbench in
+:mod:`repro.obs.bench`, which times the vectorised and reference paths on
+one workload.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from repro.common.rng import RngStream, derive_seed
-from repro.dram.device import Dimm
-from repro.dram.reference import ReferenceDimm, reference_twin
+from repro.dram.device import Dimm, HammerResult
+from repro.dram.reference import reference_twin
 from repro.obs import OBS, telemetry_session
 
-#: Sorted flip-event key: the event multiset modulo emission order.
-FlipKey = tuple[int, int, int, int]
+#: Per-location outcome fields every twin must agree on.
+_FIELDS = ("flip_count", "flips", "trr_refreshes", "acts_executed",
+           "duration_ns")
 
 
 def vector_twin(dimm: Dimm) -> Dimm:
@@ -58,22 +63,18 @@ def vector_twin(dimm: Dimm) -> Dimm:
 
 @dataclass(frozen=True)
 class PathTrace:
-    """Everything one path's run observably produced."""
+    """Everything one twin's run observably produced."""
 
-    flip_count: int
-    flip_keys: tuple[FlipKey, ...]
-    trr_refreshes: int
-    acts_executed: int
-    duration_ns: float
+    locations: tuple[HammerResult, ...]
     metrics: dict
-    elapsed_s: float  # host wall time, for speedup accounting only
 
 
 @dataclass(frozen=True)
 class CrossCheck:
-    """Outcome of one vectorised-vs-reference comparison."""
+    """Batched vs per-location vs reference, on one shifted workload."""
 
-    vectorised: PathTrace
+    batched: PathTrace
+    serial: PathTrace
     reference: PathTrace
     mismatches: tuple[str, ...]
 
@@ -81,315 +82,107 @@ class CrossCheck:
     def identical(self) -> bool:
         return not self.mismatches
 
-    @property
-    def speedup(self) -> float:
-        if self.vectorised.elapsed_s <= 0:
-            return 0.0
-        return self.reference.elapsed_s / self.vectorised.elapsed_s
 
-
-def run_path(
+def _run_twin(
     device: Dimm,
     bank_streams: dict[int, tuple[np.ndarray, np.ndarray]],
-    disturbance_gain: float = 1.0,
-    collect_events: bool = True,
+    deltas: np.ndarray,
+    disturbance_gain: float,
+    collect_events: bool,
+    batched: bool,
 ) -> PathTrace:
-    """Hammer ``bank_streams`` under a fresh metrics session and record all.
+    """Hammer every location under a fresh metrics session, record all.
 
     The caller must pass a freshly-built device (see :func:`vector_twin` /
     :func:`~repro.dram.reference.reference_twin`): a warm cell-profile
     cache would not change results, but a consumed RNG stream would.
     """
     with telemetry_session(metrics=True):
-        start = time.perf_counter()
-        result = device.hammer(
-            bank_streams,
-            collect_events=collect_events,
-            disturbance_gain=disturbance_gain,
-        )
-        elapsed = time.perf_counter() - start
+        if batched:
+            results = device.hammer_batch(
+                bank_streams,
+                deltas,
+                collect_events=collect_events,
+                disturbance_gain=disturbance_gain,
+            )
+        else:
+            results = [
+                device.hammer(
+                    {
+                        bank: (times, rows + delta)
+                        for bank, (times, rows) in bank_streams.items()
+                    },
+                    collect_events=collect_events,
+                    disturbance_gain=disturbance_gain,
+                )
+                for delta in deltas.tolist()
+            ]
         snapshot = OBS.metrics.snapshot()
-    keys = tuple(
-        sorted(
-            (f.bank, f.row, f.bit_index, f.direction) for f in result.flips
-        )
-    )
-    return PathTrace(
-        flip_count=result.flip_count,
-        flip_keys=keys,
-        trr_refreshes=result.trr_refreshes,
-        acts_executed=result.acts_executed,
-        duration_ns=result.duration_ns,
-        metrics=snapshot,
-        elapsed_s=elapsed,
-    )
+    return PathTrace(locations=tuple(results), metrics=snapshot)
 
 
 def cross_check(
     dimm: Dimm,
     bank_streams: dict[int, tuple[np.ndarray, np.ndarray]],
+    row_deltas=(0,),
     disturbance_gain: float = 1.0,
     collect_events: bool = True,
 ) -> CrossCheck:
-    """Run one workload through both paths and diff every observable."""
-    vec = run_path(
-        vector_twin(dimm), bank_streams, disturbance_gain, collect_events
-    )
-    ref = run_path(
-        reference_twin(dimm), bank_streams, disturbance_gain, collect_events
-    )
-    mismatches: list[str] = []
-    for field_name in (
-        "flip_count",
-        "flip_keys",
-        "trr_refreshes",
-        "acts_executed",
-        "duration_ns",
-    ):
-        a, b = getattr(vec, field_name), getattr(ref, field_name)
-        if a != b:
-            mismatches.append(f"{field_name}: vectorised={a!r} reference={b!r}")
-    if vec.metrics != ref.metrics:
-        mismatches.extend(_diff_metrics(vec.metrics, ref.metrics))
-    return CrossCheck(
-        vectorised=vec, reference=ref, mismatches=tuple(mismatches)
-    )
-
-
-def _diff_metrics(vec: dict, ref: dict) -> list[str]:
-    """Per-instrument diff of two metric snapshots, for readable failures."""
-    out: list[str] = []
-    for section in ("counters", "gauges", "histograms"):
-        a, b = vec.get(section, {}), ref.get(section, {})
-        for key in sorted(set(a) | set(b)):
-            if a.get(key) != b.get(key):
-                out.append(
-                    f"metrics.{section}[{key}]: "
-                    f"vectorised={a.get(key)!r} reference={b.get(key)!r}"
-                )
-    return out
-
-
-# ----------------------------------------------------------------------
-# Batched multi-location execution vs per-trial vs reference.
-
-@dataclass(frozen=True)
-class LocationTrace:
-    """One location's observable outcome within a multi-location run."""
-
-    flip_count: int
-    flip_keys: tuple[FlipKey, ...]  # in emission order, not sorted
-    trr_refreshes: int
-    acts_executed: int
-    duration_ns: float
-
-
-@dataclass(frozen=True)
-class BatchTrace:
-    """Everything one path's multi-location run observably produced."""
-
-    per_location: tuple[LocationTrace, ...]
-    metrics: dict
-    elapsed_s: float  # host wall time, for speedup accounting only
-
-
-@dataclass(frozen=True)
-class BatchCrossCheck:
-    """Batched vs serial-per-trial vs reference, on one shifted workload.
-
-    ``batched`` and ``serial`` both run the vectorised
-    :class:`~repro.dram.device.Dimm` and must agree on *everything*,
-    flip-event emission order included; ``reference`` replays the same
-    per-location streams through :class:`ReferenceDimm`, which emits
-    events in a different documented order, so its flips are compared as
-    sorted multisets (exactly like :func:`cross_check`).
-    """
-
-    batched: BatchTrace
-    serial: BatchTrace
-    reference: BatchTrace
-    #: Whether the batched device path actually engaged (False means
-    #: ``hammer_batch`` fell back to the per-trial loop — the comparison
-    #: still holds but proves nothing new).
-    batch_supported: bool
-    batch_unsupported_reason: str
-    mismatches: tuple[str, ...]
-
-    @property
-    def identical(self) -> bool:
-        return not self.mismatches
-
-    @property
-    def speedup(self) -> float:
-        """Serial-per-trial wall time over batched wall time."""
-        if self.batched.elapsed_s <= 0:
-            return 0.0
-        return self.serial.elapsed_s / self.batched.elapsed_s
-
-
-def _shifted_streams(
-    bank_streams: dict[int, tuple[np.ndarray, np.ndarray]], delta: int
-) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    return {
-        bank: (times, rows + delta)
-        for bank, (times, rows) in bank_streams.items()
-    }
-
-
-def _location_trace(result, *, sort_keys: bool) -> LocationTrace:
-    keys = [
-        (f.bank, f.row, f.bit_index, f.direction) for f in result.flips
-    ]
-    if sort_keys:
-        keys.sort()
-    return LocationTrace(
-        flip_count=result.flip_count,
-        flip_keys=tuple(keys),
-        trr_refreshes=result.trr_refreshes,
-        acts_executed=result.acts_executed,
-        duration_ns=result.duration_ns,
-    )
-
-
-def batch_cross_check(
-    dimm: Dimm,
-    bank_streams: dict[int, tuple[np.ndarray, np.ndarray]],
-    row_deltas,
-    disturbance_gain: float = 1.0,
-    collect_events: bool = True,
-) -> BatchCrossCheck:
-    """Prove batched == per-trial == reference for one shifted workload.
+    """Prove batched == per-location == reference for one workload.
 
     Location ``i`` hammers ``bank_streams`` with every row shifted by
-    ``row_deltas[i]``.  Three fresh twins run it: the vectorised device
-    through :meth:`Dimm.hammer_batch <repro.dram.device.Dimm.hammer_batch>`
-    (one interval pass for all locations), the vectorised device through
-    a serial per-location :meth:`Dimm.hammer
-    <repro.dram.device.Dimm.hammer>` loop, and the
-    :class:`ReferenceDimm` through the same serial loop.  All per-location
-    observables and the full OBS metric snapshots must agree.
+    ``row_deltas[i]``; the default is the one unshifted location.  Three
+    fresh twins run it: the vectorised device through
+    :meth:`~repro.dram.device.Dimm.hammer_batch`, the vectorised device
+    through one :meth:`~repro.dram.device.Dimm.hammer` call per location,
+    and the :class:`~repro.dram.reference.ReferenceDimm` through the same
+    per-location calls.  Every location's observables and the full OBS
+    metric snapshots must agree.
     """
     deltas = np.ascontiguousarray(np.asarray(row_deltas, dtype=np.int64))
-
-    batched_dev = vector_twin(dimm)
-    supported, reason = batched_dev.batch_supported(bank_streams, deltas)
-    with telemetry_session(metrics=True):
-        start = time.perf_counter()
-        batched_results = batched_dev.hammer_batch(
-            bank_streams,
-            deltas,
-            collect_events=collect_events,
-            disturbance_gain=disturbance_gain,
-        )
-        batched_elapsed = time.perf_counter() - start
-        batched_metrics = OBS.metrics.snapshot()
-    batched = BatchTrace(
-        per_location=tuple(
-            _location_trace(r, sort_keys=False) for r in batched_results
-        ),
-        metrics=batched_metrics,
-        elapsed_s=batched_elapsed,
-    )
-
-    serial_dev = vector_twin(dimm)
-    with telemetry_session(metrics=True):
-        start = time.perf_counter()
-        serial_results = [
-            serial_dev.hammer(
-                _shifted_streams(bank_streams, delta),
-                collect_events=collect_events,
-                disturbance_gain=disturbance_gain,
-            )
-            for delta in deltas.tolist()
-        ]
-        serial_elapsed = time.perf_counter() - start
-        serial_metrics = OBS.metrics.snapshot()
-    serial = BatchTrace(
-        per_location=tuple(
-            _location_trace(r, sort_keys=False) for r in serial_results
-        ),
-        metrics=serial_metrics,
-        elapsed_s=serial_elapsed,
-    )
-
-    ref_dev = reference_twin(dimm)
-    with telemetry_session(metrics=True):
-        start = time.perf_counter()
-        ref_results = [
-            ref_dev.hammer(
-                _shifted_streams(bank_streams, delta),
-                collect_events=collect_events,
-                disturbance_gain=disturbance_gain,
-            )
-            for delta in deltas.tolist()
-        ]
-        ref_elapsed = time.perf_counter() - start
-        ref_metrics = OBS.metrics.snapshot()
-    reference = BatchTrace(
-        per_location=tuple(
-            _location_trace(r, sort_keys=True) for r in ref_results
-        ),
-        metrics=ref_metrics,
-        elapsed_s=ref_elapsed,
-    )
-
-    mismatches: list[str] = []
-    n = len(deltas)
-    for trace, name in ((serial, "serial"), (reference, "reference")):
-        if len(trace.per_location) != n:
-            mismatches.append(
-                f"{name}: {len(trace.per_location)} locations, expected {n}"
-            )
-    for i in range(n):
-        bat = batched.per_location[i]
-        ser = serial.per_location[i]
-        for field_name in (
-            "flip_count",
-            "flip_keys",
-            "trr_refreshes",
-            "acts_executed",
-            "duration_ns",
-        ):
-            a, b = getattr(bat, field_name), getattr(ser, field_name)
-            if a != b:
-                mismatches.append(
-                    f"location {i} {field_name}: batched={a!r} serial={b!r}"
-                )
-        ref = reference.per_location[i]
-        if tuple(sorted(bat.flip_keys)) != ref.flip_keys:
-            mismatches.append(
-                f"location {i} flip_keys: batched(sorted)="
-                f"{tuple(sorted(bat.flip_keys))!r} reference={ref.flip_keys!r}"
-            )
-        for field_name in (
-            "flip_count",
-            "trr_refreshes",
-            "acts_executed",
-            "duration_ns",
-        ):
-            a, b = getattr(bat, field_name), getattr(ref, field_name)
-            if a != b:
-                mismatches.append(
-                    f"location {i} {field_name}: batched={a!r} reference={b!r}"
-                )
-    if batched.metrics != serial.metrics:
-        mismatches.extend(
-            f"batched-vs-serial {m}"
-            for m in _diff_metrics(batched.metrics, serial.metrics)
-        )
-    if batched.metrics != reference.metrics:
-        mismatches.extend(
-            f"batched-vs-reference {m}"
-            for m in _diff_metrics(batched.metrics, reference.metrics)
-        )
-    return BatchCrossCheck(
+    args = (bank_streams, deltas, disturbance_gain, collect_events)
+    batched = _run_twin(vector_twin(dimm), *args, batched=True)
+    serial = _run_twin(vector_twin(dimm), *args, batched=False)
+    reference = _run_twin(reference_twin(dimm), *args, batched=False)
+    mismatches = _diff(batched, serial, "serial", sort_flips=False)
+    mismatches += _diff(batched, reference, "reference", sort_flips=True)
+    return CrossCheck(
         batched=batched,
         serial=serial,
         reference=reference,
-        batch_supported=supported,
-        batch_unsupported_reason=reason,
         mismatches=tuple(mismatches),
     )
+
+
+def _diff(
+    batched: PathTrace, other: PathTrace, name: str, sort_flips: bool
+) -> list[str]:
+    """Every difference of ``other`` from the batched twin, readably."""
+    out: list[str] = []
+    if len(other.locations) != len(batched.locations):
+        out.append(
+            f"{name}: {len(other.locations)} locations, batched ran "
+            f"{len(batched.locations)}"
+        )
+    for i, (bat, oth) in enumerate(zip(batched.locations, other.locations)):
+        for field_name in _FIELDS:
+            a, b = getattr(bat, field_name), getattr(oth, field_name)
+            if sort_flips and field_name == "flips":
+                a, b = sorted(a, key=astuple), sorted(b, key=astuple)
+            if a != b:
+                out.append(
+                    f"location {i} {field_name}: batched={a!r} {name}={b!r}"
+                )
+    for section in ("counters", "gauges", "histograms"):
+        a = batched.metrics.get(section, {})
+        b = other.metrics.get(section, {})
+        for key in sorted(set(a) | set(b)):
+            if a.get(key) != b.get(key):
+                out.append(
+                    f"metrics.{section}[{key}]: batched={a.get(key)!r} "
+                    f"{name}={b.get(key)!r}"
+                )
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -97,7 +97,35 @@ def sequential_observe(sampler: TrrSampler, rows: np.ndarray) -> None:
 
 
 class ReferenceDimm(Dimm):
-    """A :class:`Dimm` whose bank loop runs the sequential reference path."""
+    """A :class:`Dimm` whose bank loop runs the sequential reference path.
+
+    It overrides the one driver hook, :meth:`Dimm._hammer_locations`, so
+    every public call — :meth:`~Dimm.hammer` and
+    :meth:`~Dimm.hammer_batch` alike — runs each location on its own
+    through :meth:`_hammer_bank` and never touches the vectorised loop.
+    """
+
+    def _hammer_locations(
+        self,
+        banks: list[tuple[int, np.ndarray, np.ndarray]],
+        deltas: np.ndarray,
+        collect_events: bool,
+        disturbance_gain: float,
+    ):
+        return [
+            self._result(
+                banks,
+                [
+                    self._hammer_bank(
+                        bank, times, rows + delta, collect_events,
+                        disturbance_gain,
+                    )
+                    for bank, times, rows in banks
+                ],
+                collect_events,
+            )
+            for delta in deltas.tolist()
+        ]
 
     def _hammer_bank(
         self,

@@ -304,13 +304,13 @@ class TrrSampler:
         self._occupancies = []
 
     def capture_tallies(self) -> tuple:
-        """Snapshot the pending telemetry tallies (batched-replay support).
+        """Snapshot the pending telemetry tallies for per-location replay.
 
-        The batched multi-location hammer pass runs *one* sampler for a
-        whole location batch (its decisions are invariant under a uniform
-        row shift) but must emit each location's metrics as if the
-        sampler had run for that location alone.  The owner captures the
-        tallies once after the interval loop, then
+        Every hammer call, for one location or many, runs *one* sampler
+        per bank for all its locations (its decisions are invariant under
+        a uniform row shift) but must emit each location's metrics as if
+        the sampler had run for that location alone.  The owner captures
+        the tallies once after the interval loop, then
         :meth:`restore_tallies` + :meth:`flush_metrics` per location.
         """
         return (

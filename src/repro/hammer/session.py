@@ -14,11 +14,13 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from repro.cpu.isa import HammerKernelConfig
 from repro.dram.cells import FlipEvent
+from repro.dram.device import HammerResult
 from repro.hammer.multibank import interleave_stream, multibank_addresses
 from repro.obs import OBS
 from repro.patterns.frequency import NonUniformPattern
@@ -93,33 +95,13 @@ class HammerSession:
         collect_events: bool = False,
     ) -> PatternOutcome:
         """Hammer ``pattern`` at ``base_row`` for ~``activations`` accesses."""
-        if not OBS.enabled:
-            return self._run_pattern(
-                pattern, base_row, activations, banks, collect_events
-            )
-        with OBS.tracer.span(
-            "hammer.pattern", base_row=base_row, acts_requested=activations
-        ) as span:
-            outcome = self._run_pattern(
-                pattern, base_row, activations, banks, collect_events
-            )
-            span.set(
-                flips=outcome.flip_count,
-                acts_executed=outcome.acts_executed,
-                virtual_ns=outcome.duration_ns,
-            )
-        metrics = OBS.metrics
-        metrics.counter("hammer.dispatches").inc()
-        metrics.counter("hammer.acts_issued").inc(outcome.acts_issued)
-        metrics.counter("hammer.acts_executed").inc(outcome.acts_executed)
-        metrics.histogram("hammer.effective_act_rate_per_sec").observe(
-            outcome.activation_rate_per_sec
+        run = partial(
+            self._run_pattern,
+            pattern, base_row, activations, banks, collect_events,
         )
-        metrics.histogram(
-            "hammer.cache_miss_rate",
-            buckets=tuple(i / 20 for i in range(1, 21)),
-        ).observe(outcome.cache_miss_rate)
-        return outcome
+        if not OBS.enabled:
+            return run()
+        return self._dispatch(base_row, activations, run)
 
     def prepare_stream(
         self,
@@ -186,16 +168,14 @@ class HammerSession:
         but the DRAM interval loop runs once for the whole batch: the
         expanded stream and all TRR/pTRR/RFM decisions are base-row
         independent in window coordinates (see :meth:`Dimm.hammer_batch
-        <repro.dram.device.Dimm.hammer_batch>`).  Workloads the batched
-        pass cannot express (window-detail tracing, out-of-range rows,
-        row-remapping mitigations, windows clamped at the device edge,
-        oversized batch matrices) transparently fall back to per-trial
-        execution at the appropriate layer.
+        <repro.dram.device.Dimm.hammer_batch>`).  One location runs as
+        a :meth:`run_pattern` call, and so does every location under
+        window-detail tracing or with out-of-range base rows: both need
+        exact per-trial ordering (as do non-identity row remappers, which
+        the memory controller runs per location).
         """
         rows_list = [int(r) for r in base_rows]
-        if not rows_list:
-            return []
-        if len(rows_list) == 1 or not self._batchable(pattern, rows_list):
+        if len(rows_list) <= 1 or not self._batchable(pattern, rows_list):
             return [
                 self.run_pattern(
                     pattern, row, activations, banks, collect_events
@@ -210,65 +190,22 @@ class HammerSession:
         # one real execution serves all locations (neither path emits
         # cache counters then).
         for _ in rows_list:
-            combined, target_banks = self.prepare_stream(
+            execution, target_banks = self._execute(
                 pattern, activations, banks
             )
-            execution = self.machine.executor.execute(combined, self.config)
             if self.machine.executor.cache_size <= 0:
                 break
-        addr_table = multibank_addresses(
-            self.machine.mapping,
-            pattern.aggressor_row_offsets(),
-            rows_list[0],
-            target_banks,
-        )
-        flat_addrs = addr_table.reshape(-1)
-        phys = flat_addrs[execution.address_ids]
-        deltas = np.asarray(rows_list, dtype=np.int64) - rows_list[0]
         results = self.machine.controller.execute_acts_batch(
             execution.times_ns,
-            phys,
-            deltas,
+            self._addresses(pattern, rows_list[0], target_banks, execution),
+            np.asarray(rows_list, dtype=np.int64) - rows_list[0],
             collect_events=collect_events,
             disturbance_gain=self.disturbance_gain,
         )
-        outcomes: list[PatternOutcome] = []
-        telemetry = OBS.enabled
-        for row, result in zip(rows_list, results):
-            outcome = PatternOutcome(
-                flips=result.flips,
-                flip_count=result.flip_count,
-                cache_miss_rate=execution.miss_rate,
-                duration_ns=execution.duration_ns,
-                acts_issued=execution.issued,
-                acts_executed=execution.survivors,
-                disorder_window=execution.window,
-            )
-            outcomes.append(outcome)
-            if telemetry:
-                with OBS.tracer.span(
-                    "hammer.pattern",
-                    base_row=row,
-                    acts_requested=activations,
-                ) as span:
-                    span.set(
-                        flips=outcome.flip_count,
-                        acts_executed=outcome.acts_executed,
-                        virtual_ns=outcome.duration_ns,
-                    )
-                metrics = OBS.metrics
-                metrics.counter("hammer.dispatches").inc()
-                metrics.counter("hammer.acts_issued").inc(outcome.acts_issued)
-                metrics.counter("hammer.acts_executed").inc(
-                    outcome.acts_executed
-                )
-                metrics.histogram(
-                    "hammer.effective_act_rate_per_sec"
-                ).observe(outcome.activation_rate_per_sec)
-                metrics.histogram(
-                    "hammer.cache_miss_rate",
-                    buckets=tuple(i / 20 for i in range(1, 21)),
-                ).observe(outcome.cache_miss_rate)
+        outcomes = [_outcome(result, execution) for result in results]
+        if OBS.enabled:
+            for row, outcome in zip(rows_list, outcomes):
+                self._dispatch(row, activations, lambda o=outcome: o)
         return outcomes
 
     def _batchable(
@@ -276,11 +213,10 @@ class HammerSession:
     ) -> bool:
         """Session-level batch eligibility (cheap, pre-stream checks).
 
-        Out-of-range rows fall back so the per-trial loop raises its
+        Out-of-range rows run per trial so the per-trial loop raises its
         :class:`MappingError` at the same location a serial run would;
-        window-detail tracing needs per-trial span nesting.  Deeper
-        checks (remapper, window clamping, matrix size) live with the
-        layers that own that state.
+        window-detail tracing needs per-trial span nesting.  The
+        remapper check lives with the memory controller, which owns it.
         """
         if OBS.tracer.enabled and OBS.tracer.detail == "window":
             return False
@@ -301,12 +237,36 @@ class HammerSession:
         banks: tuple[int, ...] | None,
         collect_events: bool,
     ) -> PatternOutcome:
+        execution, target_banks = self._execute(pattern, activations, banks)
+        result = self.machine.controller.execute_acts(
+            execution.times_ns,
+            self._addresses(pattern, base_row, target_banks, execution),
+            collect_events=collect_events,
+            disturbance_gain=self.disturbance_gain,
+        )
+        return _outcome(result, execution)
+
+    def _execute(
+        self,
+        pattern: NonUniformPattern,
+        activations: int,
+        banks: tuple[int, ...] | None,
+    ):
+        """The expanded stream run through the CPU executor (memoised)."""
         combined, target_banks = self.prepare_stream(
             pattern, activations, banks
         )
-
         execution = self.machine.executor.execute(combined, self.config)
+        return execution, target_banks
 
+    def _addresses(
+        self,
+        pattern: NonUniformPattern,
+        base_row: int,
+        target_banks: list[int],
+        execution,
+    ) -> np.ndarray:
+        """The physical address of every executed access at ``base_row``."""
         addr_table = multibank_addresses(
             self.machine.mapping,
             pattern.aggressor_row_offsets(),
@@ -314,19 +274,45 @@ class HammerSession:
             target_banks,
         )
         flat_addrs = addr_table.reshape(-1)  # index = agg_id * n_banks + lane
-        phys = flat_addrs[execution.address_ids]
-        result = self.machine.controller.execute_acts(
-            execution.times_ns,
-            phys,
-            collect_events=collect_events,
-            disturbance_gain=self.disturbance_gain,
+        return flat_addrs[execution.address_ids]
+
+    @staticmethod
+    def _dispatch(base_row: int, activations: int, run) -> PatternOutcome:
+        """One location's ``hammer.pattern`` span and dispatch metrics.
+
+        ``run()`` returns the location's outcome, inside the span.
+        """
+        with OBS.tracer.span(
+            "hammer.pattern", base_row=base_row, acts_requested=activations
+        ) as span:
+            outcome = run()
+            span.set(
+                flips=outcome.flip_count,
+                acts_executed=outcome.acts_executed,
+                virtual_ns=outcome.duration_ns,
+            )
+        metrics = OBS.metrics
+        metrics.counter("hammer.dispatches").inc()
+        metrics.counter("hammer.acts_issued").inc(outcome.acts_issued)
+        metrics.counter("hammer.acts_executed").inc(outcome.acts_executed)
+        metrics.histogram("hammer.effective_act_rate_per_sec").observe(
+            outcome.activation_rate_per_sec
         )
-        return PatternOutcome(
-            flips=result.flips,
-            flip_count=result.flip_count,
-            cache_miss_rate=execution.miss_rate,
-            duration_ns=execution.duration_ns,
-            acts_issued=execution.issued,
-            acts_executed=execution.survivors,
-            disorder_window=execution.window,
-        )
+        metrics.histogram(
+            "hammer.cache_miss_rate",
+            buckets=tuple(i / 20 for i in range(1, 21)),
+        ).observe(outcome.cache_miss_rate)
+        return outcome
+
+
+def _outcome(result: HammerResult, execution) -> PatternOutcome:
+    """One location's outcome: its DRAM result plus the shared execution."""
+    return PatternOutcome(
+        flips=result.flips,
+        flip_count=result.flip_count,
+        cache_miss_rate=execution.miss_rate,
+        duration_ns=execution.duration_ns,
+        acts_issued=execution.issued,
+        acts_executed=execution.survivors,
+        disorder_window=execution.window,
+    )

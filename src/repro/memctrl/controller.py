@@ -63,23 +63,8 @@ class MemoryController:
         bank (banks operate independently) and apply any mitigation row
         remapping before the device sees it.
         """
-        if times.shape != phys_addrs.shape:
-            raise SimulationError("times and addresses must align")
-        addrs = phys_addrs.astype(np.uint64, copy=False)
-        banks = self.mapping.bank_of_many(addrs).astype(np.int64)
-        rows = self.mapping.row_of_many(addrs).astype(np.int64)
-        streams: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for bank in np.unique(banks).tolist():
-            mask = banks == bank
-            bank_times = times[mask]
-            bank_rows = rows[mask]
-            if self.remapper is not None and bank_times.size:
-                bank_rows = self.remapper.remap(
-                    bank, bank_rows, float(bank_times[-1])
-                )
-            streams[int(bank)] = (bank_times, bank_rows)
         return self.dimm.hammer(
-            streams,
+            self._shift_remap(self._bank_streams(times, phys_addrs), 0),
             collect_events=collect_events,
             disturbance_gain=disturbance_gain,
         )
@@ -104,16 +89,8 @@ class MemoryController:
         per-location path, preserving the remapper's state evolution in
         location order.
         """
-        if times.shape != phys_addrs.shape:
-            raise SimulationError("times and addresses must align")
+        streams = self._bank_streams(times, phys_addrs)
         deltas = np.ascontiguousarray(np.asarray(row_deltas, dtype=np.int64))
-        addrs = phys_addrs.astype(np.uint64, copy=False)
-        banks = self.mapping.bank_of_many(addrs).astype(np.int64)
-        rows = self.mapping.row_of_many(addrs).astype(np.int64)
-        streams: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for bank in np.unique(banks).tolist():
-            mask = banks == bank
-            streams[int(bank)] = (times[mask], rows[mask])
         if type(self.remapper) is RowRemapper:  # identity: safe to batch
             return self.dimm.hammer_batch(
                 streams,
@@ -121,21 +98,38 @@ class MemoryController:
                 collect_events=collect_events,
                 disturbance_gain=disturbance_gain,
             )
-        results: list[HammerResult] = []
-        for delta in deltas.tolist():
-            shifted: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-            for bank, (bank_times, bank_rows) in streams.items():
-                moved = bank_rows + delta
-                if bank_times.size:
-                    moved = self.remapper.remap(
-                        bank, moved, float(bank_times[-1])
-                    )
-                shifted[bank] = (bank_times, moved)
-            results.append(
-                self.dimm.hammer(
-                    shifted,
-                    collect_events=collect_events,
-                    disturbance_gain=disturbance_gain,
-                )
+        return [
+            self.dimm.hammer(
+                self._shift_remap(streams, delta),
+                collect_events=collect_events,
+                disturbance_gain=disturbance_gain,
             )
-        return results
+            for delta in deltas.tolist()
+        ]
+
+    def _bank_streams(
+        self, times: np.ndarray, phys_addrs: np.ndarray
+    ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """Split an arrival-order stream into per-bank (times, rows)."""
+        if times.shape != phys_addrs.shape:
+            raise SimulationError("times and addresses must align")
+        addrs = phys_addrs.astype(np.uint64, copy=False)
+        banks = self.mapping.bank_of_many(addrs).astype(np.int64)
+        rows = self.mapping.row_of_many(addrs).astype(np.int64)
+        streams: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        for bank in np.unique(banks).tolist():
+            mask = banks == bank
+            streams[int(bank)] = (times[mask], rows[mask])
+        return streams
+
+    def _shift_remap(
+        self, streams: dict[int, tuple[np.ndarray, np.ndarray]], delta: int
+    ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """One location's streams: rows shifted by ``delta``, then remapped."""
+        shifted: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        for bank, (bank_times, bank_rows) in streams.items():
+            rows = bank_rows + delta if delta else bank_rows
+            if bank_times.size:
+                rows = self.remapper.remap(bank, rows, float(bank_times[-1]))
+            shifted[bank] = (bank_times, rows)
+        return shifted

@@ -451,7 +451,7 @@ def bench_dram(params) -> dict[str, Any]:
         == ref_result.flip_count
         == vec_warm.flip_count
         == ref_warm.flip_count
-        == check.vectorised.flip_count
+        == check.batched.locations[0].flip_count
     )
     return {
         "checks": {

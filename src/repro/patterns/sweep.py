@@ -120,12 +120,13 @@ def sweep_pattern(
     # Locations are dispatched to the pool in chunks; each chunk hammers
     # all its locations in one vectorised multi-location pass
     # (bit-identical to the per-location loop, see run_pattern_batch).
+    # With batching off every chunk holds one location.
     batch_size = budget.resolve_batch_locations(num_locations)
     row_ints = [int(r) for r in base_rows.tolist()]
-
-    def run_location(session, base_row: int) -> _LocationResult:
-        outcome = session.run_pattern(pattern, base_row, activations=acts)
-        return _LocationResult(outcome.flip_count, outcome.duration_ns)
+    chunks = [
+        tuple(row_ints[i:i + batch_size])
+        for i in range(0, num_locations, batch_size)
+    ]
 
     def run_chunk(session, rows: tuple[int, ...]) -> list[_LocationResult]:
         outcomes = session.run_pattern_batch(pattern, rows, activations=acts)
@@ -141,23 +142,13 @@ def sweep_pattern(
         seed_name=seed_name,
     ) as span:
         with create_backend(spec, budget) as backend:
-            if batch_size <= 1:
-                batch = backend.map(
-                    run_location, row_ints, init=spec.session
-                )
-                location_results = batch.results
+            batch = backend.map(run_chunk, chunks, init=spec.session)
+        location_results = []
+        for chunk_rows, result in zip(chunks, batch.results):
+            if result is None:  # whole chunk failed or was skipped
+                location_results.extend([None] * len(chunk_rows))
             else:
-                chunks = [
-                    tuple(row_ints[i:i + batch_size])
-                    for i in range(0, num_locations, batch_size)
-                ]
-                batch = backend.map(run_chunk, chunks, init=spec.session)
-                location_results = []
-                for chunk_rows, result in zip(chunks, batch.results):
-                    if result is None:  # whole chunk failed or was skipped
-                        location_results.extend([None] * len(chunk_rows))
-                    else:
-                        location_results.extend(result)
+                location_results.extend(result)
 
         flips = np.zeros(num_locations, dtype=np.int64)
         minutes = np.zeros(num_locations, dtype=np.float64)

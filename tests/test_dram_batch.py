@@ -26,7 +26,11 @@ from repro.exploit.endtoend import canonical_compact_pattern
 from repro.hammer.session import HammerSession
 from repro.obs import telemetry_session
 
-BASE_ROWS = [4096, 4288, 9000, 4096 + 64, 30000, 512, 15000, 15001]
+#: Includes both device edges: row 65,525 is the top one for the compact
+#: pattern's aggressor offsets 0-10, so those windows reach past an edge.
+BASE_ROWS = [
+    4096, 4288, 9000, 4096 + 64, 30000, 512, 15000, 15001, 0, 65525,
+]
 
 
 def _machine(seed: int = 31):

@@ -1,27 +1,28 @@
 """Vectorised DRAM hot path vs the sequential reference (bit-identical).
 
 The contract under test (see ``src/repro/dram/equivalence.py``): for any
-workload, the vectorised :class:`~repro.dram.device.Dimm` and the
-preserved :class:`~repro.dram.reference.ReferenceDimm` produce identical
-flip-event multisets, counts, TRR refresh totals, durations *and* OBS
-metric snapshots — across patterns, TRR vendor profiles, pTRR and RFM.
+workload, at one location or many, the batched and per-location
+vectorised :class:`~repro.dram.device.Dimm` calls and the preserved
+:class:`~repro.dram.reference.ReferenceDimm` produce identical flip
+events, counts, TRR refresh totals, durations *and* OBS metric snapshots
+— across patterns, TRR vendor profiles, pTRR, RFM and device edges.
 """
 
 import numpy as np
 import pytest
 
+from repro.common.errors import SimulationError
 from repro.common.rng import RngStream
 from repro.dram import device as device_mod
 from repro.dram.ddr5 import RfmConfig
 from repro.dram.device import Dimm, DimmSpec
 from repro.dram.equivalence import (
-    batch_cross_check,
     cross_check,
     synthetic_workload,
     vector_twin,
 )
 from repro.dram.geometry import DramGeometry
-from repro.dram.reference import reference_twin
+from repro.dram.reference import ReferenceDimm, reference_twin
 from repro.dram.timing import DdrTiming
 from repro.dram.trr import VENDOR_TRR_PROFILES, PtrrShield, TrrConfig
 from repro.obs import telemetry_session
@@ -75,7 +76,7 @@ def test_vendor_profiles_bit_identical(kind, profile):
     check = cross_check(dimm, workload, disturbance_gain=24.0)
     assert check.identical, check.mismatches[:5]
     # The workload must actually exercise the paths being compared.
-    assert check.vectorised.acts_executed == 8000
+    assert check.batched.locations[0].acts_executed == 8000
 
 
 @pytest.mark.parametrize("kind", ("double_sided", "mixed") + PLAN_EDGE_KINDS)
@@ -90,7 +91,7 @@ def test_ptrr_and_rfm_bit_identical(kind):
     )
     check = cross_check(dimm, workload, disturbance_gain=24.0)
     assert check.identical, check.mismatches[:5]
-    assert check.vectorised.trr_refreshes > 0
+    assert check.batched.locations[0].trr_refreshes > 0
 
 
 @pytest.mark.parametrize("kind", PLAN_EDGE_KINDS)
@@ -113,7 +114,7 @@ def test_plan_edge_streams_flip_bit_identically(kind):
             assert span > device_mod.PLAN_BLOCK_CELLS
     check = cross_check(dimm, workload, disturbance_gain=24.0)
     assert check.identical, check.mismatches[:5]
-    assert check.vectorised.flip_count > 0
+    assert check.batched.locations[0].flip_count > 0
 
 
 @pytest.mark.parametrize("cells, acts", [(64, 1 << 14), (1 << 15, 97), (7, 1)])
@@ -141,11 +142,8 @@ def test_small_plan_blocks_bit_identical(monkeypatch, cells, acts):
     )
     check = cross_check(dimm, workload, disturbance_gain=24.0)
     assert check.identical, check.mismatches[:5]
-    assert check.vectorised.flip_count > 0
-    batched = batch_cross_check(
-        dimm, workload, BATCH_DELTAS, disturbance_gain=24.0
-    )
-    assert batched.batch_supported, batched.batch_unsupported_reason
+    assert check.batched.locations[0].flip_count > 0
+    batched = cross_check(dimm, workload, BATCH_DELTAS, disturbance_gain=24.0)
     assert batched.identical, batched.mismatches[:5]
 
 
@@ -220,8 +218,9 @@ def test_flip_events_match_when_collected():
         dimm, workload, disturbance_gain=24.0, collect_events=True
     )
     assert check.identical, check.mismatches[:5]
-    assert check.vectorised.flip_count > 0
-    assert len(check.vectorised.flip_keys) == check.vectorised.flip_count
+    location = check.batched.locations[0]
+    assert location.flip_count > 0
+    assert len(location.flips) == location.flip_count
 
 
 def test_metric_snapshots_compared_not_just_counts():
@@ -232,7 +231,7 @@ def test_metric_snapshots_compared_not_just_counts():
     )
     check = cross_check(dimm, workload, disturbance_gain=24.0)
     assert check.identical
-    counters = check.vectorised.metrics["counters"]
+    counters = check.batched.metrics["counters"]
     assert counters["dram.trr.acts_observed"] > 0
     # Satellite regression guard: tracked_hits counts *activations* that
     # bumped an existing entry, so inserted + hits + escaped == observed.
@@ -245,7 +244,7 @@ def test_metric_snapshots_compared_not_just_counts():
 
 
 # ----------------------------------------------------------------------
-# Batched multi-location execution: batched == per-trial == reference.
+# Many locations: batched == per-location == reference.
 
 BATCH_DELTAS = (0, 96, 4096, -48)
 
@@ -257,13 +256,11 @@ def test_batch_vendor_profiles_bit_identical(kind, profile):
     workload = synthetic_workload(
         dimm, acts_per_bank=4000, banks=2, seed=5, kind=kind
     )
-    check = batch_cross_check(
-        dimm, workload, BATCH_DELTAS, disturbance_gain=24.0
-    )
-    assert check.batch_supported, check.batch_unsupported_reason
+    check = cross_check(dimm, workload, BATCH_DELTAS, disturbance_gain=24.0)
     assert check.identical, check.mismatches[:5]
     # Every location must have executed the full stream.
-    for trace in check.batched.per_location:
+    assert len(check.batched.locations) == len(BATCH_DELTAS)
+    for trace in check.batched.locations:
         assert trace.acts_executed == 8000
 
 
@@ -277,12 +274,9 @@ def test_batch_ptrr_and_rfm_bit_identical(kind):
     workload = synthetic_workload(
         dimm, acts_per_bank=4000, banks=2, seed=7, kind=kind
     )
-    check = batch_cross_check(
-        dimm, workload, BATCH_DELTAS, disturbance_gain=24.0
-    )
-    assert check.batch_supported, check.batch_unsupported_reason
+    check = cross_check(dimm, workload, BATCH_DELTAS, disturbance_gain=24.0)
     assert check.identical, check.mismatches[:5]
-    assert all(t.trr_refreshes > 0 for t in check.batched.per_location)
+    assert all(t.trr_refreshes > 0 for t in check.batched.locations)
 
 
 def test_batch_flip_events_ordered_identically():
@@ -291,20 +285,17 @@ def test_batch_flip_events_ordered_identically():
     workload = synthetic_workload(
         dimm, acts_per_bank=6000, banks=1, seed=3, kind="double_sided"
     )
-    check = batch_cross_check(
+    check = cross_check(
         dimm,
         workload,
         BATCH_DELTAS,
         disturbance_gain=24.0,
         collect_events=True,
     )
-    assert check.batch_supported, check.batch_unsupported_reason
     assert check.identical, check.mismatches[:5]
-    assert sum(t.flip_count for t in check.batched.per_location) > 0
-    for bat, ser in zip(
-        check.batched.per_location, check.serial.per_location
-    ):
-        assert bat.flip_keys == ser.flip_keys  # exact order, not multiset
+    assert sum(t.flip_count for t in check.batched.locations) > 0
+    for bat, ser in zip(check.batched.locations, check.serial.locations):
+        assert bat.flips == ser.flips  # exact order, not multiset
 
 
 def test_batch_without_events_matches_counts():
@@ -312,50 +303,115 @@ def test_batch_without_events_matches_counts():
     workload = synthetic_workload(
         dimm, acts_per_bank=6000, banks=1, seed=3, kind="double_sided"
     )
-    check = batch_cross_check(
+    check = cross_check(
         dimm,
         workload,
         BATCH_DELTAS,
         disturbance_gain=24.0,
         collect_events=False,
     )
-    assert check.batch_supported, check.batch_unsupported_reason
     assert check.identical, check.mismatches[:5]
 
 
-def test_batch_edge_clamped_falls_back_and_still_matches():
-    """Windows clamped at the device edge force (correct) fallback."""
-    dimm = make_dimm()
-    workload = synthetic_workload(
-        dimm, acts_per_bank=2000, banks=1, seed=9, kind="double_sided"
+def _edge_deltas(dimm, workload, edge):
+    """Shifts putting the aggressors 0 and 1 rows from a device edge.
+
+    The window then reaches two and one rows past the edge.
+    """
+    rows = workload[0][1]
+    if edge == "bottom":
+        return (0, -int(rows.min()), 1 - int(rows.min()))
+    top = dimm.spec.geometry.rows - 1
+    return (0, top - int(rows.max()), top - 1 - int(rows.max()))
+
+
+@pytest.mark.parametrize("edge", ("bottom", "top"))
+def test_batch_at_device_edge_bit_identical(edge):
+    """A window past a device edge is padded, not a per-trial fallback."""
+    dimm = make_dimm(
+        trr=TrrConfig(capacity=1, sample_prob=1e-9), median=3_000.0
     )
+    workload = synthetic_workload(
+        dimm, acts_per_bank=4000, banks=1, seed=9, kind="double_sided"
+    )
+    deltas = _edge_deltas(dimm, workload, edge)
+    assert dimm.batch_supported(workload, np.asarray(deltas))[0]
+    check = cross_check(dimm, workload, deltas, disturbance_gain=24.0)
+    assert check.identical, check.mismatches[:5]
     rows_total = dimm.spec.geometry.rows
-    # Shift one location so its window would clamp at the top edge.
-    top = rows_total - int(max(workload[0][1].max(), 0)) - 1
-    check = batch_cross_check(
-        dimm, workload, (0, top), disturbance_gain=24.0
+    for trace in check.batched.locations[1:]:
+        assert trace.flip_count > 0
+        assert all(0 <= flip.row < rows_total for flip in trace.flips)
+    # The flips sit at the edge, not only in the stream's interior.
+    edge_row = 1 if edge == "bottom" else rows_total - 2
+    assert any(
+        flip.row == edge_row
+        for trace in check.batched.locations[1:]
+        for flip in trace.flips
     )
-    assert not check.batch_supported
-    assert "edge" in check.batch_unsupported_reason
+
+
+def test_batch_over_memory_cap_runs_in_passes(monkeypatch):
+    """A batch over the matrix cap runs as passes of as many as fit."""
+    dimm = make_dimm(
+        trr=TrrConfig(capacity=1, sample_prob=1e-9), median=3_000.0
+    )
+    workload = synthetic_workload(
+        dimm, acts_per_bank=3000, banks=2, seed=9, kind="mixed"
+    )
+    deltas = np.arange(0, 64, 8, dtype=np.int64)
+    span = max(int(r.max()) - int(r.min()) + 5 for _, r in workload.values())
+    monkeypatch.setattr(
+        device_mod, "BATCH_MATRIX_BYTES_MAX", 3 * (3 * span * 8) + 1
+    )
+    assert dimm.batch_supported(workload, deltas)[0]
+    passes: list[int] = []
+    play = Dimm._hammer_locations
+
+    def spy(self, banks, pass_deltas, *args):
+        passes.append(int(pass_deltas.size))
+        return play(self, banks, pass_deltas, *args)
+
+    monkeypatch.setattr(Dimm, "_hammer_locations", spy)
+    vector_twin(dimm).hammer_batch(workload, deltas)
+    assert passes == [3, 3, 2]
+    check = cross_check(dimm, workload, deltas, disturbance_gain=24.0)
     assert check.identical, check.mismatches[:5]
+    assert sum(t.flip_count for t in check.batched.locations) > 0
 
 
-def test_batch_supported_rejects_oversized_matrices():
+@pytest.mark.parametrize("twin", (vector_twin, reference_twin))
+@pytest.mark.parametrize("row", (-1, 1 << 16))
+def test_off_device_rows_rejected(twin, row):
+    """Both twins refuse ACTs on rows outside ``[0, rows)``."""
+    device = twin(make_dimm())
+    times = np.arange(1.0, 201.0)
+    odd = np.arange(200) % 2 == 1
+    sandwich = np.where(odd, row + 2 if row < 0 else row - 2, row)
+    with pytest.raises(SimulationError, match="outside the device"):
+        device.hammer({0: (times, sandwich)})
+    inside = {0: (times, np.where(odd, 100, 102))}
+    with pytest.raises(SimulationError, match="outside the device"):
+        device.hammer_batch(inside, np.array([0, row - 100]))
+
+
+def test_reference_twin_never_runs_the_vectorised_loop(monkeypatch):
+    """The oracle overrides the driver hook, for one location or many."""
+
+    def vectorised(*args, **kwargs):
+        raise AssertionError("the reference ran the vectorised loop")
+
+    monkeypatch.setattr(Dimm, "_play_bank", vectorised)
     dimm = make_dimm()
     workload = synthetic_workload(
-        dimm, acts_per_bank=2000, banks=1, seed=9, kind="random"
+        dimm, acts_per_bank=2000, banks=2, seed=2, kind="mixed"
     )
-    many = tuple(range(0, 4096, 8))
-    cap = device_mod.BATCH_MATRIX_BYTES_MAX
-    try:
-        device_mod.BATCH_MATRIX_BYTES_MAX = 1024
-        ok, reason = dimm.batch_supported(
-            workload, np.asarray(many, dtype=np.int64)
-        )
-    finally:
-        device_mod.BATCH_MATRIX_BYTES_MAX = cap
-    assert not ok
-    assert "bytes" in reason or "matri" in reason
+    ref = reference_twin(dimm)
+    assert isinstance(ref, ReferenceDimm)
+    ref.hammer(workload, disturbance_gain=24.0)
+    ref.hammer_batch(workload, BATCH_DELTAS, disturbance_gain=24.0)
+    with pytest.raises(AssertionError, match="vectorised loop"):
+        vector_twin(dimm).hammer(workload)
 
 
 def test_invulnerable_dimm_yields_zero_flips_both_paths():
@@ -365,4 +421,4 @@ def test_invulnerable_dimm_yields_zero_flips_both_paths():
     )
     check = cross_check(dimm, workload, disturbance_gain=48.0)
     assert check.identical
-    assert check.vectorised.flip_count == 0
+    assert check.batched.locations[0].flip_count == 0
