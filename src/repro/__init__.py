@@ -33,7 +33,6 @@ from repro.engine import (
     ExecutorBackend,
     ExperimentSpec,
     RunBudget,
-    TaskPool,
     create_backend,
 )
 from repro.cpu.isa import (
@@ -89,7 +88,6 @@ __all__ = [
     "RunBudget",
     "SimulationScale",
     "SweepReport",
-    "TaskPool",
     "TimingOracle",
     "baseline_load_config",
     "build_machine",

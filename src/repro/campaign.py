@@ -122,7 +122,7 @@ class RhoHammerCampaign:
     #: Worker-pool width for the fuzzing and sweeping phases; results are
     #: bit-identical for any value (see :mod:`repro.engine`).
     workers: int = 1
-    #: Executor backend for those phases (``auto``/``serial``/``fork``/
+    #: Executor backend for those phases (``auto``/``serial``/
     #: ``persistent``); ``auto`` picks the persistent pool when the host
     #: has cores to spare.
     backend: str = "auto"

@@ -82,6 +82,7 @@ from repro.obs.analyze import (
     TRACE_FILENAME,
     RunLoadError,
     analyze_run,
+    analyze_trace,
     format_analysis,
 )
 from repro.obs.compare import (
@@ -90,7 +91,7 @@ from repro.obs.compare import (
     compare_runs,
     format_comparison,
 )
-from repro.obs.inspect import format_summary, summarize_trace
+from repro.obs.inspect import format_summary, summary_dict
 from repro.obs.trace import DETAIL_LEVELS
 from repro.reveng import compare_mappings
 from repro.system.presets import dimm_ids, machine_names
@@ -170,7 +171,7 @@ def _add_workers(parser: argparse.ArgumentParser) -> None:
         "--backend", choices=list(BACKEND_CHOICES), default="auto",
         help="executor backend for the worker pool: auto picks the "
              "persistent pool when the host has spare cores, serial "
-             "otherwise; fork is the legacy pool-per-batch strategy",
+             "otherwise",
     )
 
 
@@ -531,28 +532,25 @@ def cmd_inspect(args) -> int:
 
     trace_file = resolve_trace_path(args.trace_file)
     try:
-        summary = summarize_trace(trace_file)
+        analysis = analyze_trace(trace_file, top=args.top)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if summary.events == 0:
+    if analysis.events == 0:
         print(
             f"error: {trace_file}: no parseable trace records"
             + (
-                f" ({summary.skipped_lines} corrupt line(s) skipped)"
-                if summary.skipped_lines
+                f" ({analysis.skipped_lines} corrupt line(s) skipped)"
+                if analysis.skipped_lines
                 else ""
             ),
             file=sys.stderr,
         )
         return 1
     if args.json:
-        payload = summary.to_dict()
-        if args.top:
-            payload["slowest"] = summary.top_spans(args.top)
-        _print_json(payload)
+        _print_json(summary_dict(analysis, top=args.top))
     else:
-        print(format_summary(summary, top=args.top))
+        print(format_summary(analysis, top=args.top))
     return 0
 
 

@@ -7,20 +7,16 @@ reverse engineering, the Figure 5 campaign):
 * :class:`ExperimentSpec` / :class:`RunBudget` — the unified "what to
   run" / "how much to run" API every entry point now accepts,
 * :class:`ExecutorBackend` + :func:`create_backend` — pluggable task
-  execution (:class:`SerialBackend`, the legacy fork-per-batch
-  :class:`ForkBatchBackend`, and the default multi-core
+  execution (the in-process :class:`SerialBackend` and the multi-core
   :class:`PersistentPoolBackend` with shared-memory state publication),
-  all with order-stable aggregation, per-task failure capture and
+  both with order-stable aggregation, per-task failure capture and
   graceful serial degradation, such that ``workers=N`` is bit-identical
-  to ``workers=1``,
-* :class:`TaskPool` — the deprecated fork-per-batch shim, kept for one
-  release.
+  to ``workers=1``.
 """
 
 from repro.engine.budget import BACKEND_CHOICES, ExperimentSpec, RunBudget
 from repro.engine.executor import (
     ExecutorBackend,
-    ForkBatchBackend,
     PersistentPoolBackend,
     PoolReport,
     SerialBackend,
@@ -29,19 +25,16 @@ from repro.engine.executor import (
     default_workers,
     fork_available,
 )
-from repro.engine.pool import TaskPool
 
 __all__ = [
     "BACKEND_CHOICES",
     "ExecutorBackend",
     "ExperimentSpec",
-    "ForkBatchBackend",
     "PersistentPoolBackend",
     "PoolReport",
     "RunBudget",
     "SerialBackend",
     "TaskError",
-    "TaskPool",
     "create_backend",
     "default_workers",
     "fork_available",

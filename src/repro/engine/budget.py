@@ -13,10 +13,6 @@ questions into two small dataclasses shared by all of them:
 * :class:`RunBudget` bounds the workload: virtual campaign hours and/or a
   hard trial cap, plus the worker count and executor backend handed to
   :func:`repro.engine.create_backend`.
-
-The pair replaces ``FuzzingCampaign.run(hours, max_patterns)``,
-``sweep_pattern(..., num_locations, ...)`` and friends; the old spellings
-survive as deprecated shims for one release.
 """
 
 from __future__ import annotations
@@ -33,7 +29,7 @@ from repro.system.machine import Machine
 #: Executor backend names :func:`repro.engine.create_backend` accepts.
 #: ``auto`` picks the persistent pool when the host has cores to spare
 #: and serial otherwise; the explicit names are honoured verbatim.
-BACKEND_CHOICES: tuple[str, ...] = ("auto", "serial", "fork", "persistent")
+BACKEND_CHOICES: tuple[str, ...] = ("auto", "serial", "persistent")
 
 #: Locations per batched hammer task under ``batch_locations="auto"`` —
 #: large enough to amortise the per-interval Python loop across a chunk,

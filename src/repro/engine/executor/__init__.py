@@ -3,8 +3,8 @@
 Public surface (re-exported from :mod:`repro.engine`):
 
 * :class:`ExecutorBackend` — the protocol every backend satisfies,
-* :class:`SerialBackend` / :class:`ForkBatchBackend` /
-  :class:`PersistentPoolBackend` — the three implementations,
+* :class:`SerialBackend` / :class:`PersistentPoolBackend` — the two
+  implementations,
 * :func:`create_backend` — the selection policy (``auto`` routing, host
   CPU capping, shared-machine wiring),
 * :class:`PoolReport` / :class:`TaskError` and the
@@ -19,14 +19,12 @@ from repro.engine.executor.base import (
     fork_available,
 )
 from repro.engine.executor.factory import create_backend
-from repro.engine.executor.forkbatch import ForkBatchBackend
 from repro.engine.executor.persistent import PersistentPoolBackend
 from repro.engine.executor.serial import SerialBackend
 from repro.engine.executor.sharedmem import SEGMENT_PREFIX, SharedArrayPack
 
 __all__ = [
     "ExecutorBackend",
-    "ForkBatchBackend",
     "PersistentPoolBackend",
     "PoolReport",
     "SEGMENT_PREFIX",

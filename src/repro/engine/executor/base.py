@@ -10,10 +10,9 @@ fanning an indexed task list out over workers and reassembling results
 
 This module holds what all backends share: the :class:`ExecutorBackend`
 protocol itself, the :class:`PoolReport`/:class:`TaskError` result types,
-the in-process serial runner (which doubles as every backend's
-degradation path), and the telemetry glue — the ``pool.batch`` span
-wrapper and the task-order replay/merge of worker-shipped trace events
-and metric deltas.
+the in-process serial runner (which doubles as the pool's degradation
+path), and the telemetry glue — the ``pool.batch`` span wrapper and the
+task-order replay of worker-shipped trace events.
 
 Failure semantics: an exception inside one task is captured (with its
 traceback) and recorded as a :class:`TaskError` while the other tasks'
@@ -240,18 +239,15 @@ def run_serial_tasks(
 
 
 def absorb_worker_telemetry(
-    report: PoolReport,
-    metas: list[dict[str, Any] | None],
-    merge_task_deltas: bool = True,
+    report: PoolReport, metas: list[dict[str, Any] | None]
 ) -> None:
-    """Merge worker metric deltas and replay worker trace events.
+    """Replay worker trace events and count tasks, in task order.
 
     Walks tasks in index order — never completion order — so the emitted
-    stream and the merged snapshot are deterministic and bit-identical to
-    a serial run's (modulo ``wall`` fields and wall-named metrics).  The
-    persistent backend ships metric deltas per *chunk* rather than per
-    task and merges them itself; it passes ``merge_task_deltas=False`` so
-    only the trace/span half runs here.
+    stream is deterministic and bit-identical to a serial run's (modulo
+    ``wall`` fields and wall-named metrics).  Worker metric deltas travel
+    per *chunk*, not per task, and the persistent backend merges them
+    itself.
     """
     if not OBS.enabled:
         return
@@ -269,10 +265,6 @@ def absorb_worker_telemetry(
                 # duration with the worker-side task duration.
                 span.set_wall(worker=meta["worker"], dur_s=meta["dur_s"])
         if batch is not None:
-            if merge_task_deltas:
-                delta = meta.get("metrics")
-                if delta is not None:
-                    OBS.metrics.merge(delta)
             task_metrics(batch, status, meta["dur_s"])
     if batch is not None:
         batch.flush()

@@ -7,9 +7,9 @@ workload and *how many* workers it really gets:
   usable CPUs — oversubscribing forked workers onto fewer cores only adds
   IPC overhead — and picks :class:`PersistentPoolBackend` when that still
   leaves real parallelism, :class:`SerialBackend` otherwise;
-* an explicit backend name (``serial``/``fork``/``persistent``) is
-  honoured verbatim, worker count included, so tests and benches can
-  exercise real forking even on single-core hosts.
+* an explicit backend name (``serial``/``persistent``) is honoured
+  verbatim, worker count included, so tests and benches can exercise
+  real forking even on single-core hosts.
 
 When the caller hands over an :class:`~repro.engine.budget.
 ExperimentSpec`, its machine is wired into the persistent backend as the
@@ -26,7 +26,6 @@ from repro.engine.executor.base import (
     default_workers,
     fork_available,
 )
-from repro.engine.executor.forkbatch import ForkBatchBackend
 from repro.engine.executor.persistent import PersistentPoolBackend
 from repro.engine.executor.serial import SerialBackend
 
@@ -66,10 +65,6 @@ def create_backend(
         name = "persistent" if workers > 1 and fork_available() else "serial"
     if name == "serial":
         return SerialBackend(progress=progress)
-    if name == "fork":
-        return ForkBatchBackend(
-            workers=workers, chunk_size=chunk_size, progress=progress
-        )
     return PersistentPoolBackend(
         workers=workers,
         chunk_size=chunk_size,

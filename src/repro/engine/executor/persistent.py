@@ -1,9 +1,11 @@
 """The persistent worker-pool backend: fork once, feed chunks forever.
 
-Fork-per-batch dispatch pays the whole fork/pickle/teardown bill on every
-``map`` call, which after the kernel hot path was vectorised costs more
-than the work itself.  :class:`PersistentPoolBackend` forks its workers
-**once per pool lifetime** and feeds them over per-worker pipes instead:
+Forking a fresh pool per ``map`` call would pay the whole
+fork/pickle/teardown bill on every batch, which after the kernel hot path
+was vectorised costs more than the work itself.
+:class:`PersistentPoolBackend` forks its workers **once per pool
+lifetime** and feeds them over per-worker pipes instead (a ``map`` with a
+new task function re-forks them, so one-shot callers need nothing else):
 
 * tasks are cut into contiguous index ranges ("chunks") whose size adapts
   to the observed per-task wall time, so many small patterns ride one
@@ -76,8 +78,7 @@ def _worker_main(worker_id: int, task_recv: Any, result_send: Any) -> None:
     Each chunk's metric contributions are buffered in a
     :class:`~repro.obs.metrics.DeltaBuffer` and flushed as one delta at
     the chunk boundary; per-task trace events and wall durations travel
-    in each task's meta, exactly like the fork-batch protocol, so the
-    parent's task-order replay is backend-agnostic.
+    in each task's meta, so the parent replays them in task order.
     """
     state = _POOL_STATE
     packs = []
@@ -172,8 +173,8 @@ def _finalize_pool(workers: list[_Worker], packs: list[Any]) -> None:
 class PersistentPoolBackend:
     """Long-lived forked workers fed batched task chunks over pipes.
 
-    Unlike the legacy ``TaskPool``, the requested worker count is honoured
-    exactly — host-CPU capping is the ``auto`` policy's job in
+    The requested worker count is honoured exactly — host-CPU capping
+    is the ``auto`` policy's job in
     :func:`~repro.engine.executor.factory.create_backend`, so explicit
     backends can oversubscribe (tests and benches rely on this to
     exercise real forking on small CI hosts).
@@ -651,7 +652,7 @@ class PersistentPoolBackend:
         """
         if not OBS.enabled:
             return
-        absorb_worker_telemetry(report, metas, merge_task_deltas=False)
+        absorb_worker_telemetry(report, metas)
         if OBS.metrics.enabled:
             for _, delta in sorted(chunk_deltas, key=lambda cd: cd[0]):
                 OBS.metrics.merge(delta)

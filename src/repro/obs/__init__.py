@@ -24,8 +24,8 @@ Instrumented library code reaches telemetry through the process-wide
         sp.set(virtual_s=elapsed, flips=total)
 
 Telemetry is **off by default** — every instrument degrades to a shared
-no-op and the only disabled-path cost is the guard check (bounded <3% by
-``scripts/bench_obs.py``).  Enable it for a block with
+no-op and the only disabled-path cost is the guard check (bounded by
+``scripts/bench_all.py --only obs``).  Enable it for a block with
 :func:`telemetry_session`, or for a whole process with
 :meth:`Telemetry.configure`.
 """

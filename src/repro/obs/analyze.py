@@ -6,10 +6,11 @@ manifest with its final metrics snapshot (``--metrics-out`` / ``--out
 DIR`` → ``DIR/metrics.json``) — and answers the questions raw telemetry
 cannot: where did the time go (wall *and* virtual, self vs. descendants),
 what chain of phases bounds the run (critical path), and how evenly did
-the fork pool's workers share the task load (utilization and skew).
+the pool's workers share the task load (utilization and skew).
 
 The module is pure stdlib and read-only; it powers ``rhohammer analyze``
-and is the substrate :mod:`repro.obs.compare` diffs two runs with.
+and ``rhohammer inspect`` and is the substrate :mod:`repro.obs.compare`
+diffs two runs with.
 """
 
 from __future__ import annotations
@@ -166,7 +167,7 @@ class PhaseRollup:
 
 @dataclass
 class WorkerStats:
-    """Fork-pool accounting across every ``pool.batch`` of the run."""
+    """Worker-pool accounting across every ``pool.batch`` of the run."""
 
     batches: int = 0
     batch_wall_s: float = 0.0
@@ -362,6 +363,7 @@ def _critical_path(roots: list[SpanNode]) -> list[dict[str, Any]]:
 
 
 def _worker_stats(roots: list[SpanNode]) -> WorkerStats:
+    """Pool accounting; a task still open (killed run) has not finished."""
     stats = WorkerStats()
     stack = list(roots)
     while stack:
@@ -373,7 +375,7 @@ def _worker_stats(roots: list[SpanNode]) -> WorkerStats:
             stats.configured_workers = max(
                 stats.configured_workers, int(node.attrs.get("workers", 0))
             )
-        elif node.name == "pool.task":
+        elif node.name == "pool.task" and node.closed:
             stats.tasks += 1
             if node.attrs.get("status") == "failed":
                 stats.failed += 1
@@ -388,12 +390,14 @@ def _worker_stats(roots: list[SpanNode]) -> WorkerStats:
 
 
 def _top_spans(roots: list[SpanNode], top: int) -> list[dict[str, Any]]:
+    """The ``top`` slowest closed spans (an open one has no duration)."""
     flat: list[SpanNode] = []
     stack = list(roots)
     while stack:
         node = stack.pop()
         stack.extend(node.children)
-        flat.append(node)
+        if node.closed:
+            flat.append(node)
     flat.sort(key=lambda n: (-n.wall_s, n.span_id))
     return [
         {
@@ -407,35 +411,28 @@ def _top_spans(roots: list[SpanNode], top: int) -> list[dict[str, Any]]:
     ]
 
 
-def analyze_run(
-    path: str | os.PathLike[str], top: int = 10
+def analyze_trace(
+    trace_path: str | os.PathLike[str],
+    top: int = 10,
+    manifest: dict[str, Any] | None = None,
 ) -> TraceAnalysis:
-    """Load one run's artifacts and compute the full analysis.
+    """Analyze one trace stream; ``events`` is 0 when it holds no records.
 
-    Raises :class:`RunLoadError` when nothing loadable exists at ``path``
-    or the run has no trace stream to analyze.
+    ``manifest`` (from ``metrics.json``) takes precedence over the
+    stream's own header record.  Corrupt lines are skipped and counted;
+    an unreadable file raises :class:`OSError`.
     """
-    artifacts = RunArtifacts.load(path)
-    if artifacts.trace_path is None:
-        raise RunLoadError(
-            f"{path}: no trace stream ({TRACE_FILENAME}) — "
-            "record one with --trace or --out"
-        )
     skipped = 0
 
     def _on_skip(lineno: int, line: str) -> None:
         nonlocal skipped
         skipped += 1
 
-    records = list(
-        read_trace(artifacts.trace_path, strict=False, on_skip=_on_skip)
-    )
+    records = list(read_trace(trace_path, strict=False, on_skip=_on_skip))
     roots, points, header = build_span_tree(records)
-    if not records:
-        raise RunLoadError(f"{artifacts.trace_path}: empty trace stream")
     return TraceAnalysis(
-        path=artifacts.path,
-        manifest=artifacts.manifest or header,
+        path=str(trace_path),
+        manifest=manifest or header,
         events=len(records),
         skipped_lines=skipped,
         phases=_rollup(roots),
@@ -445,6 +442,27 @@ def analyze_run(
         points=points,
         health=summarize_health(records),
     )
+
+
+def analyze_run(
+    path: str | os.PathLike[str], top: int = 10
+) -> TraceAnalysis:
+    """Load one run's artifacts and compute the full analysis.
+
+    Raises :class:`RunLoadError` when nothing loadable exists at ``path``
+    or the run has no (or an empty) trace stream to analyze.
+    """
+    artifacts = RunArtifacts.load(path)
+    if artifacts.trace_path is None:
+        raise RunLoadError(
+            f"{path}: no trace stream ({TRACE_FILENAME}) — "
+            "record one with --trace or --out"
+        )
+    analysis = analyze_trace(artifacts.trace_path, top, artifacts.manifest)
+    if not analysis.events:
+        raise RunLoadError(f"{artifacts.trace_path}: empty trace stream")
+    analysis.path = artifacts.path
+    return analysis
 
 
 # ----------------------------------------------------------------------

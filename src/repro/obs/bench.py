@@ -866,59 +866,6 @@ def _record_into_registry(
     return [f"registry: recorded run #{run_id} into {db_path}"]
 
 
-def legacy_main(
-    bench: str,
-    results_path: str | os.PathLike[str],
-    argv: list[str] | None = None,
-) -> int:
-    """Body of the superseded single-bench scripts (bench_engine/bench_obs).
-
-    Runs exactly one bench of the unified suite at full scale and writes
-    its payload to the script's historical output path, so pre-existing
-    tooling keeps finding a file there while the implementation cannot
-    drift from ``rhohammer bench`` anymore.
-    """
-    parser = argparse.ArgumentParser(
-        description=f"[deprecated] single-bench wrapper for '{bench}'"
-    )
-    parser.add_argument(
-        "--suite", choices=("quick", "full"), default="full",
-        help="workload size (default: full)",
-    )
-    parser.add_argument("--quick", action="store_const", dest="suite",
-                        const="quick", help="shorthand for --suite quick")
-    args = parser.parse_args(argv)
-
-    print(
-        f"note: this script is superseded by "
-        f"'PYTHONPATH=src python scripts/bench_all.py --only {bench}' "
-        f"(or 'rhohammer bench --only {bench}') and now delegates to it"
-    )
-    payload = run_suite(
-        suite=args.suite,
-        only=[bench],
-        progress=lambda name: print(f"bench: {name} ..."),
-    )
-    result = payload["benches"][bench]
-    if bench == "obs" and "guard_ns" in result.get("timings", {}):
-        # The historical BENCH_obs.json schema named this key
-        # guard_ns_per_check; keep the alias in the legacy file so
-        # tooling reading the old path still finds it.  The canonical
-        # key everywhere else (BENCH_all.json, registry samples) is
-        # guard_ns.
-        result["timings"]["guard_ns_per_check"] = (
-            result["timings"]["guard_ns"]
-        )
-    out = pathlib.Path(results_path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    for section in ("checks", "timings"):
-        line = " ".join(f"{k}={v}" for k, v in result[section].items())
-        print(f"  {section}: {line}")
-    print(f"wrote {out}")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__.splitlines()[0]

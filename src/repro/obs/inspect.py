@@ -1,178 +1,67 @@
 """Summarise a trace stream: ``rhohammer inspect TRACE.jsonl``.
 
-Builds aggregate statistics from the JSONL span stream — span counts and
-durations by name, pool task/worker skew, point-event counts — without
-loading anything beyond the stdlib.  Used by the CLI's ``inspect``
-subcommand and importable for ad-hoc analysis.
+A formatter over :func:`repro.obs.analyze.analyze_trace`: span counts and
+durations by name, pool task/worker skew, point-event counts and the
+slowest spans, all read off the span tree ``analyze`` builds.  Open spans
+(a run killed mid-write) count towards ``open=``, never towards task or
+duration totals.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
 from typing import Any
 
-from repro.obs.trace import read_trace
+from repro.obs.analyze import TraceAnalysis
 
 
-@dataclass
-class SpanStats:
-    """Aggregate over all spans sharing one name."""
-
-    count: int = 0
-    open_count: int = 0
-    wall_s: float = 0.0
-    virtual_ns: float = 0.0
-    errors: int = 0
-
-    @property
-    def virtual_s(self) -> float:
-        return self.virtual_ns * 1e-9
+def _task_walls(analysis: TraceAnalysis) -> tuple[float, float]:
+    """Mean and max wall time of the finished ``pool.task`` spans."""
+    tasks = analysis.workers.tasks
+    if not tasks:
+        return 0.0, 0.0
+    rollup = analysis.phases["pool.task"]
+    return rollup.wall_s / tasks, rollup.max_wall_s
 
 
-@dataclass
-class TaskStats:
-    """Pool task events: completion and per-worker skew."""
-
-    total: int = 0
-    failed: int = 0
-    wall_s: list[float] = field(default_factory=list)
-    by_worker: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def mean_wall_s(self) -> float:
-        return sum(self.wall_s) / len(self.wall_s) if self.wall_s else 0.0
-
-
-@dataclass
-class TraceSummary:
-    """Everything ``inspect`` reports about one trace file."""
-
-    manifest: dict[str, Any] | None
-    events: int
-    spans: dict[str, SpanStats]
-    points: dict[str, int]
-    tasks: TaskStats
-    skipped_lines: int = 0
-    slowest: list[tuple[str, int, float]] = field(default_factory=list)
-
-    def top_spans(self, n: int) -> list[dict[str, Any]]:
-        """The ``n`` individual spans with the largest wall durations."""
-        ranked = sorted(self.slowest, key=lambda t: (-t[2], t[1]))[:n]
-        return [
-            {"name": name, "id": span_id, "wall_s": round(dur, 6)}
-            for name, span_id, dur in ranked
+def summary_dict(analysis: TraceAnalysis, top: int = 0) -> dict[str, Any]:
+    """The ``inspect --json`` payload (``slowest`` only when ``top``)."""
+    workers = analysis.workers
+    mean_wall_s, max_wall_s = _task_walls(analysis)
+    payload: dict[str, Any] = {
+        "manifest": analysis.manifest,
+        "events": analysis.events,
+        "skipped_lines": analysis.skipped_lines,
+        "spans": {
+            name: {
+                "count": r.count,
+                "open": r.open_count,
+                "wall_s": round(r.wall_s, 6),
+                "virtual_s": round(r.virtual_ns * 1e-9, 6),
+                "errors": r.errors,
+            }
+            for name, r in sorted(analysis.phases.items())
+        },
+        "points": dict(sorted(analysis.points.items())),
+        "tasks": {
+            "total": workers.tasks,
+            "failed": workers.failed,
+            "mean_wall_s": round(mean_wall_s, 6),
+            "max_wall_s": round(max_wall_s, 6),
+            "by_worker": dict(sorted(workers.tasks_by_worker.items())),
+        },
+    }
+    if top:
+        payload["slowest"] = [
+            {"name": s["name"], "id": s["id"], "wall_s": s["wall_s"]}
+            for s in analysis.top_spans
         ]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "manifest": self.manifest,
-            "events": self.events,
-            "skipped_lines": self.skipped_lines,
-            "spans": {
-                name: {
-                    "count": s.count,
-                    "open": s.open_count,
-                    "wall_s": round(s.wall_s, 6),
-                    "virtual_s": round(s.virtual_s, 6),
-                    "errors": s.errors,
-                }
-                for name, s in sorted(self.spans.items())
-            },
-            "points": dict(sorted(self.points.items())),
-            "tasks": {
-                "total": self.tasks.total,
-                "failed": self.tasks.failed,
-                "mean_wall_s": round(self.tasks.mean_wall_s, 6),
-                "max_wall_s": round(max(self.tasks.wall_s), 6)
-                if self.tasks.wall_s
-                else 0.0,
-                "by_worker": dict(sorted(self.tasks.by_worker.items())),
-            },
-        }
+    return payload
 
 
-def _virtual_duration(attrs: dict[str, Any]) -> float:
-    """A span's simulated duration in nanoseconds, from its end attrs."""
-    if "virtual_ns" in attrs:
-        return float(attrs["virtual_ns"])
-    if "virtual_s" in attrs:
-        return float(attrs["virtual_s"]) * 1e9
-    if "virtual_minutes" in attrs:
-        return float(attrs["virtual_minutes"]) * 60e9
-    return 0.0
-
-
-def summarize_trace(path: str | os.PathLike[str]) -> TraceSummary:
-    """One pass over the stream, aggregating by span/point name.
-
-    Corrupt or truncated lines (a run killed mid-write) are skipped and
-    counted in :attr:`TraceSummary.skipped_lines` rather than aborting
-    the summary.
-    """
-    manifest: dict[str, Any] | None = None
-    spans: dict[str, SpanStats] = {}
-    points: dict[str, int] = {}
-    tasks = TaskStats()
-    open_names: dict[int, str] = {}
-    slowest: list[tuple[str, int, float]] = []
-    events = 0
-    skipped = 0
-
-    def _on_skip(lineno: int, line: str) -> None:
-        nonlocal skipped
-        skipped += 1
-
-    for record in read_trace(path, strict=False, on_skip=_on_skip):
-        events += 1
-        kind = record.get("ev")
-        if kind == "manifest":
-            if manifest is None:
-                manifest = record.get("data")
-        elif kind == "span":
-            if record.get("ph") == "B":
-                name = record.get("name", "?")
-                open_names[record["id"]] = name
-                stats = spans.setdefault(name, SpanStats())
-                stats.count += 1
-                stats.open_count += 1
-            else:
-                name = open_names.pop(record.get("id"), "?")
-                stats = spans.setdefault(name, SpanStats())
-                stats.open_count -= 1
-                attrs = record.get("attrs", {})
-                wall = record.get("wall", {})
-                dur_s = float(wall.get("dur_s", 0.0))
-                stats.wall_s += dur_s
-                slowest.append((name, record.get("id", -1), dur_s))
-                stats.virtual_ns += _virtual_duration(attrs)
-                if "error" in attrs:
-                    stats.errors += 1
-                if name == "pool.task":
-                    tasks.total += 1
-                    if attrs.get("status") == "failed":
-                        tasks.failed += 1
-                    tasks.wall_s.append(float(wall.get("dur_s", 0.0)))
-                    worker = str(wall.get("worker", "?"))
-                    tasks.by_worker[worker] = tasks.by_worker.get(worker, 0) + 1
-        elif kind == "point":
-            name = record.get("name", "?")
-            points[name] = points.get(name, 0) + 1
-    return TraceSummary(
-        manifest=manifest,
-        events=events,
-        spans=spans,
-        points=points,
-        tasks=tasks,
-        skipped_lines=skipped,
-        slowest=slowest,
-    )
-
-
-def format_summary(summary: TraceSummary, top: int = 0) -> str:
+def format_summary(analysis: TraceAnalysis, top: int = 0) -> str:
     """Human-readable report for the CLI."""
     lines: list[str] = []
-    man = summary.manifest
+    man = analysis.manifest
     if man:
         budget = man.get("budget") or {}
         budget_txt = (
@@ -186,40 +75,40 @@ def format_summary(summary: TraceSummary, top: int = 0) -> str:
         )
         lines.append(f"budget   : {budget_txt}")
         lines.append(f"code     : {man.get('git')}")
-    lines.append(f"events   : {summary.events}")
-    if summary.skipped_lines:
+    lines.append(f"events   : {analysis.events}")
+    if analysis.skipped_lines:
         lines.append(
-            f"warning  : skipped {summary.skipped_lines} corrupt line(s)"
+            f"warning  : skipped {analysis.skipped_lines} corrupt line(s)"
         )
-    if summary.spans:
+    if analysis.phases:
         lines.append("spans    :")
-        width = max(len(n) for n in summary.spans)
-        for name in sorted(summary.spans):
-            s = summary.spans[name]
-            extra = f"  open={s.open_count}" if s.open_count else ""
-            err = f"  errors={s.errors}" if s.errors else ""
+        width = max(len(n) for n in analysis.phases)
+        for name, r in sorted(analysis.phases.items()):
+            extra = f"  open={r.open_count}" if r.open_count else ""
+            err = f"  errors={r.errors}" if r.errors else ""
             lines.append(
-                f"  {name:<{width}}  n={s.count:<6} wall={s.wall_s:9.3f}s"
-                f"  virtual={s.virtual_s:12.6f}s{extra}{err}"
+                f"  {name:<{width}}  n={r.count:<6} wall={r.wall_s:9.3f}s"
+                f"  virtual={r.virtual_ns * 1e-9:12.6f}s{extra}{err}"
             )
-    if summary.points:
+    if analysis.points:
         lines.append("points   :")
-        width = max(len(n) for n in summary.points)
-        for name, count in sorted(summary.points.items()):
+        width = max(len(n) for n in analysis.points)
+        for name, count in sorted(analysis.points.items()):
             lines.append(f"  {name:<{width}}  n={count}")
-    if summary.tasks.total:
-        t = summary.tasks
+    workers = analysis.workers
+    if workers.tasks:
+        mean_wall_s, max_wall_s = _task_walls(analysis)
         lines.append(
-            f"tasks    : {t.total} total, {t.failed} failed, "
-            f"wall mean={t.mean_wall_s:.3f}s max="
-            f"{max(t.wall_s) if t.wall_s else 0.0:.3f}s"
+            f"tasks    : {workers.tasks} total, {workers.failed} failed, "
+            f"wall mean={mean_wall_s:.3f}s max={max_wall_s:.3f}s"
         )
-        for worker, count in sorted(t.by_worker.items()):
+        for worker, count in sorted(workers.tasks_by_worker.items()):
             lines.append(f"  worker {worker}: {count} task(s)")
-    if top > 0 and summary.slowest:
-        ranked = summary.top_spans(top)
-        lines.append(f"slowest  : (top {len(ranked)} spans by wall)")
-        for row in ranked:
+    if top > 0 and analysis.top_spans:
+        lines.append(
+            f"slowest  : (top {len(analysis.top_spans)} spans by wall)"
+        )
+        for row in analysis.top_spans:
             lines.append(
                 f"  #{row['id']:<5} {row['name']:<24} {row['wall_s']:9.3f}s"
             )

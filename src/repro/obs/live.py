@@ -107,14 +107,10 @@ class TraceFollower:
                     state.exit_error = str(attrs["error"])
             span = state.open_spans.pop(span_id, None)
             state.spans_closed += 1
-            if span is not None:
-                if span.name == "pool.task":
-                    parent = state.open_spans.get(span.parent)
-                    if parent is not None:
-                        parent.tasks_done += 1
-                flips = attrs.get("flips")
-                if span.name == "hammer.pattern" and isinstance(flips, int):
-                    pass  # counted via the fuzz.pattern/sweep.location points
+            if span is not None and span.name == "pool.task":
+                parent = state.open_spans.get(span.parent)
+                if parent is not None:
+                    parent.tasks_done += 1
             if span_id == state.root_id:
                 state.done = True
         elif kind == "point":

@@ -15,14 +15,11 @@ the latest one a regression?*
 Design constraints, mirroring the rest of :mod:`repro.obs`:
 
 * **stdlib only** — ``sqlite3`` ships with CPython; no ORM, no client.
-* **storage-agnostic** — this module is the *domain* layer (manifests,
-  bench payloads, trend verdicts, key flattening).  All persistence
-  lives behind the :class:`repro.obs.store.RunStore` contract;
-  :class:`~repro.obs.store.SqliteRunStore` is the default (and only
-  in-tree) implementation, carrying the WAL/immediate-transaction
-  concurrency story and the ``PRAGMA user_version`` migration chain.
-  A server-grade backend slots in by implementing ``RunStore`` and
-  passing it to :class:`RunRegistry` — no call-site changes.
+* **domain over storage** — this module is the *domain* layer
+  (manifests, bench payloads, trend verdicts, key flattening).  All
+  persistence lives in :class:`~repro.obs.store.SqliteRunStore`, which
+  carries the WAL/immediate-transaction concurrency story and the
+  ``PRAGMA user_version`` migration chain.
 * **never take the run down** — CLI recording wraps every registry write
   in a guard; a broken/locked/read-only database degrades to a warning.
 
@@ -58,7 +55,6 @@ from repro.obs.health import flatten_health
 from repro.obs.store import (  # noqa: F401  (re-exported for callers)
     SCHEMA_VERSION,
     RegistryError,
-    RunStore,
     SqliteRunStore,
 )
 
@@ -320,33 +316,19 @@ class GcReport:
 class RunRegistry:
     """The domain-level registry of runs; usable as a context manager.
 
-    By default backed by :class:`~repro.obs.store.SqliteRunStore` at
-    ``path``; pass ``store`` to plug in any other
-    :class:`~repro.obs.store.RunStore` implementation (``path`` is then
-    ignored and reported from the store).
+    Backed by the :class:`~repro.obs.store.SqliteRunStore` at ``path``,
+    exposed as :attr:`store`.
     """
 
     def __init__(
-        self,
-        path: str | os.PathLike[str] | None = None,
-        timeout: float = 30.0,
-        store: RunStore | None = None,
+        self, path: str | os.PathLike[str], timeout: float = 30.0
     ) -> None:
-        if store is None:
-            if path is None:
-                raise RegistryError("RunRegistry needs a path or a store")
-            store = SqliteRunStore(path, timeout=timeout)
-        self._store = store
-        self.path = store.path
+        self.store = SqliteRunStore(path, timeout=timeout)
+        self.path = self.store.path
 
     # -- lifecycle -----------------------------------------------------
-    @property
-    def store(self) -> RunStore:
-        """The storage backend this registry delegates to."""
-        return self._store
-
     def close(self) -> None:
-        self._store.close()
+        self.store.close()
 
     def __enter__(self) -> "RunRegistry":
         return self
@@ -356,7 +338,7 @@ class RunRegistry:
 
     @property
     def schema_version(self) -> int:
-        return self._store.schema_version
+        return self.store.schema_version
 
     # -- recording -----------------------------------------------------
     def _insert(
@@ -375,7 +357,7 @@ class RunRegistry:
         recorded_at: str | None,
         health: Mapping[str, Any] | None = None,
     ) -> int:
-        return self._store.insert_run(
+        return self.store.insert_run(
             {
                 "recorded_at": recorded_at or _timestamp(),
                 "kind": kind,
@@ -479,7 +461,7 @@ class RunRegistry:
         ``git`` matches as a substring (describe outputs carry hashes);
         every other filter is exact.  ``limit`` keeps the *newest* N.
         """
-        rows = self._store.query_runs(
+        rows = self.store.query_runs(
             {
                 "kind": kind,
                 "command": command,
@@ -523,11 +505,11 @@ class RunRegistry:
 
     def samples_for(self, run_id: int) -> dict[str, float]:
         """Every flattened sample of one run, key-sorted."""
-        return self._store.samples_for(run_id)
+        return self.store.samples_for(run_id)
 
     def metric_keys(self, pattern: str | None = None) -> list[str]:
         """Distinct sample keys, optionally filtered by a glob pattern."""
-        keys = self._store.sample_keys()
+        keys = self.store.sample_keys()
         if pattern is None:
             return keys
         return [k for k in keys if fnmatch.fnmatchcase(k, pattern)]
@@ -536,7 +518,7 @@ class RunRegistry:
         """One metric's value across matching runs, oldest first."""
         points: list[TrendPoint] = []
         for record in self.runs(**filters):
-            value = self._store.sample_value(record.run_id, metric)
+            value = self.store.sample_value(record.run_id, metric)
             if value is None:
                 continue
             points.append(
@@ -557,11 +539,11 @@ class RunRegistry:
         anchor a trend baseline or document a milestone.  Returns whether
         the run existed.
         """
-        return self._store.set_tag(run_id, tag)
+        return self.store.set_tag(run_id, tag)
 
     def stats(self) -> dict[str, Any]:
-        """Registry-wide shape/size report (see ``RunStore.stats``)."""
-        return self._store.stats()
+        """Registry-wide shape/size report (see ``SqliteRunStore.stats``)."""
+        return self.store.stats()
 
     def gc(
         self,
@@ -595,7 +577,7 @@ class RunRegistry:
             raise RegistryError("max_age_days must be >= 0")
         if keep_last is not None and keep_last < 0:
             raise RegistryError("keep_last must be >= 0")
-        before = self._store.stats()
+        before = self.store.stats()
         records = self.runs()  # oldest first
         cutoff: datetime | None = None
         if max_age_days is not None:
@@ -622,11 +604,11 @@ class RunRegistry:
             pruned_ids.append(rec.run_id)
         vacuumed = False
         if not dry_run and pruned_ids:
-            self._store.delete_runs(pruned_ids)
+            self.store.delete_runs(pruned_ids)
             if vacuum:
-                self._store.vacuum()
+                self.store.vacuum()
                 vacuumed = True
-        after = self._store.stats() if not dry_run else dict(before)
+        after = self.store.stats() if not dry_run else dict(before)
         return GcReport(
             examined=len(records),
             pruned=len(pruned_ids),

@@ -1,30 +1,22 @@
-"""Run-registry storage backends behind a small ``RunStore`` interface.
+"""The run registry's SQLite storage layer (:class:`SqliteRunStore`).
 
 :class:`~repro.obs.registry.RunRegistry` is the domain-level API — it
 knows about manifests, bench payloads, trend records, and key
-flattening.  This module is the layer below: a storage contract
-(:class:`RunStore`) plus the one concrete implementation we ship
-(:class:`SqliteRunStore`).  The split exists so a server-grade backend
-(ROADMAP item on fleet-wide registries) can slot in without touching
-any registry call-site: implement :class:`RunStore`, hand it to
-``RunRegistry``, done.
-
-The contract is deliberately narrow and storage-shaped:
+flattening.  This module is the layer below, and deliberately
+storage-shaped:
 
 * runs are opaque field mappings plus a flat ``{key: value}`` sample
   bag — no domain records cross the boundary (the registry converts
   raw rows into :class:`~repro.obs.registry.RunRecord` objects);
-* every method raises :class:`RegistryError` on backend failure, never
-  a backend-native exception, so registry callers keep their single
+* every method raises :class:`RegistryError` on failure, never a
+  ``sqlite3`` exception, so registry callers keep their single
   ``except RegistryError`` guard;
-* schema/migration concerns live entirely inside the backend —
-  :class:`SqliteRunStore` keeps the versioned ``PRAGMA user_version``
-  migration chain documented below.
+* schema/migration concerns live entirely here: the versioned
+  ``PRAGMA user_version`` migration chain documented below.
 """
 
 from __future__ import annotations
 
-import abc
 import os
 import sqlite3
 from typing import Any, Mapping
@@ -33,7 +25,7 @@ from typing import Any, Mapping
 SCHEMA_VERSION = 4
 
 #: Column order of the ``runs`` table; also the field names a
-#: :meth:`RunStore.insert_run` mapping may carry (missing keys insert
+#: :meth:`SqliteRunStore.insert_run` mapping may carry (missing keys insert
 #: as NULL, unknown keys are rejected).
 RUN_FIELDS = (
     "recorded_at",
@@ -53,107 +45,6 @@ RUN_FIELDS = (
 
 class RegistryError(RuntimeError):
     """The registry store cannot be opened, migrated, or queried."""
-
-
-class RunStore(abc.ABC):
-    """Storage contract the run registry builds on.
-
-    Implementations own connection lifecycle, schema management, and
-    concurrency control.  All methods must raise :class:`RegistryError`
-    (not backend-native exceptions) on failure.
-    """
-
-    #: Human-readable location of the backing store (path, DSN, ...).
-    path: str
-
-    @abc.abstractmethod
-    def close(self) -> None:
-        """Release the backing connection; further calls are undefined."""
-
-    @property
-    @abc.abstractmethod
-    def schema_version(self) -> int:
-        """The store's current schema version."""
-
-    @abc.abstractmethod
-    def insert_run(
-        self, fields: Mapping[str, Any], samples: Mapping[str, float]
-    ) -> int:
-        """Atomically insert one run row plus its samples; return its id.
-
-        ``fields`` may carry any subset of :data:`RUN_FIELDS`; samples
-        are flat ``{dotted.key: float}`` pairs.
-        """
-
-    @abc.abstractmethod
-    def insert_runs(
-        self,
-        rows: "list[tuple[Mapping[str, Any], Mapping[str, float]]]",
-    ) -> list[int]:
-        """Insert many ``(fields, samples)`` runs in ONE transaction.
-
-        The bulk path for import/seeding workloads; returns the new run
-        ids in input order.
-        """
-
-    @abc.abstractmethod
-    def delete_runs(self, run_ids: "list[int]") -> int:
-        """Delete the given runs and their samples in one transaction.
-
-        Returns how many run rows were actually deleted (ids not present
-        are ignored).
-        """
-
-    @abc.abstractmethod
-    def set_tag(self, run_id: int, tag: str | None) -> bool:
-        """Set (or with ``None`` clear) one run's retention tag.
-
-        Returns ``False`` when ``run_id`` does not exist.
-        """
-
-    @abc.abstractmethod
-    def stats(self) -> dict[str, Any]:
-        """Size/occupancy facts: run/sample counts, kinds, tagged runs,
-        recorded_at range, and backend-specific size numbers."""
-
-    @abc.abstractmethod
-    def vacuum(self) -> None:
-        """Compact the backing store (best effort, may be a no-op)."""
-
-    @abc.abstractmethod
-    def query_runs(
-        self,
-        filters: Mapping[str, Any] | None = None,
-        *,
-        git_substring: str | None = None,
-        limit: int | None = None,
-    ) -> list[dict[str, Any]]:
-        """Matching run rows as plain dicts, oldest first.
-
-        ``filters`` are exact equality matches on :data:`RUN_FIELDS`
-        columns; ``git_substring`` matches anywhere inside the ``git``
-        field; ``limit`` keeps the *newest* N matches.  Each returned
-        dict carries ``id`` plus every :data:`RUN_FIELDS` column.
-        """
-
-    @abc.abstractmethod
-    def samples_for(self, run_id: int) -> dict[str, float]:
-        """Every sample of one run, key-sorted."""
-
-    @abc.abstractmethod
-    def sample_keys(self) -> list[str]:
-        """Distinct sample keys across all runs, sorted."""
-
-    @abc.abstractmethod
-    def sample_value(self, run_id: int, key: str) -> float | None:
-        """One run's value for one key, or ``None`` if unsampled."""
-
-    # -- context manager ----------------------------------------------
-    def __enter__(self) -> "RunStore":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
 
 
 #: Schema migrations, applied in version order inside one transaction
@@ -205,8 +96,8 @@ _MIGRATIONS: dict[int, tuple[str, ...]] = {
 }
 
 
-class SqliteRunStore(RunStore):
-    """The stdlib-only SQLite backend.
+class SqliteRunStore:
+    """The stdlib-only SQLite run store; usable as a context manager.
 
     * **never take the run down** — callers wrap writes in a guard; a
       broken/locked/read-only database degrades to :class:`RegistryError`.
@@ -242,6 +133,12 @@ class SqliteRunStore(RunStore):
     # -- lifecycle -----------------------------------------------------
     def close(self) -> None:
         self._conn.close()
+
+    def __enter__(self) -> "SqliteRunStore":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()
 
     @property
     def schema_version(self) -> int:
@@ -305,6 +202,11 @@ class SqliteRunStore(RunStore):
     def insert_run(
         self, fields: Mapping[str, Any], samples: Mapping[str, float]
     ) -> int:
+        """Atomically insert one run row plus its samples; return its id.
+
+        ``fields`` may carry any subset of :data:`RUN_FIELDS`; samples
+        are flat ``{dotted.key: float}`` pairs.
+        """
         self._check_fields(self.path, fields)
         try:
             self.write_transactions += 1
@@ -323,6 +225,11 @@ class SqliteRunStore(RunStore):
         self,
         rows: "list[tuple[Mapping[str, Any], Mapping[str, float]]]",
     ) -> list[int]:
+        """Insert many ``(fields, samples)`` runs in ONE transaction.
+
+        The bulk path for import/seeding workloads; returns the new run
+        ids in input order.
+        """
         for fields, _ in rows:
             self._check_fields(self.path, fields)
         if not rows:
@@ -344,6 +251,8 @@ class SqliteRunStore(RunStore):
         return ids
 
     def delete_runs(self, run_ids: "list[int]") -> int:
+        """Delete runs and their samples in one transaction; return how
+        many run rows existed (unknown ids are ignored)."""
         if not run_ids:
             return 0
         ids = [(int(run_id),) for run_id in run_ids]
@@ -370,6 +279,8 @@ class SqliteRunStore(RunStore):
         return deleted
 
     def set_tag(self, run_id: int, tag: str | None) -> bool:
+        """Set (``None``: clear) one run's retention tag; ``False`` when
+        ``run_id`` does not exist."""
         try:
             self.write_transactions += 1
             cursor = self._conn.execute(
@@ -380,6 +291,8 @@ class SqliteRunStore(RunStore):
         return cursor.rowcount > 0
 
     def stats(self) -> dict[str, Any]:
+        """Run/sample counts, kinds, tagged runs, the recorded_at range
+        and file/page/freelist sizes."""
         try:
             runs = int(
                 self._conn.execute("SELECT COUNT(*) FROM runs").fetchone()[0]
@@ -447,6 +360,13 @@ class SqliteRunStore(RunStore):
         git_substring: str | None = None,
         limit: int | None = None,
     ) -> list[dict[str, Any]]:
+        """Matching run rows as plain dicts, oldest first.
+
+        ``filters`` are exact equality matches on :data:`RUN_FIELDS`
+        columns; ``git_substring`` matches anywhere inside the ``git``
+        field; ``limit`` keeps the *newest* N matches.  Each returned
+        dict carries ``id`` plus every :data:`RUN_FIELDS` column.
+        """
         clauses: list[str] = []
         params: list[Any] = []
         for column, value in (filters or {}).items():

@@ -15,7 +15,6 @@ a parallel campaign is bit-identical to a serial one.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 from repro.common.rng import RngStream
@@ -239,24 +238,3 @@ class FuzzingCampaign:
             mean_miss_rate=miss_sum / max(1, trials),
             notes=batch.notes(label="pattern"),
         )
-
-    def run(
-        self,
-        hours: float | RunBudget = DEFAULT_CAMPAIGN_HOURS,
-        max_patterns: int | None = None,
-    ) -> FuzzingReport:
-        """Deprecated shim: forward the legacy knobs to :meth:`execute`.
-
-        A :class:`RunBudget` may be passed directly in ``hours``' place;
-        plain numbers keep working for one release.
-        """
-        if isinstance(hours, RunBudget):
-            return self.execute(hours)
-        warnings.warn(
-            "FuzzingCampaign.run(hours=..., max_patterns=...) is "
-            "deprecated; use FuzzingCampaign.execute(RunBudget(hours=..., "
-            "max_trials=..., workers=...)) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.execute(RunBudget(hours=hours, max_trials=max_patterns))

@@ -14,7 +14,6 @@ keeping parallel sweeps bit-identical to serial ones.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,31 +67,16 @@ def sweep_pattern(
     machine: Machine,
     config: HammerKernelConfig,
     pattern: NonUniformPattern,
-    budget: RunBudget | int | None = None,
+    budget: RunBudget,
     scale: SimulationScale = None,
     seed_name: str = "sweep",
-    *,
-    num_locations: int | None = None,
 ) -> SweepReport:
     """Apply one pattern at budgeted non-repeating base rows.
 
-    ``budget`` is a :class:`RunBudget` whose trials are sweep locations; a
-    bare ``int`` in its place (the legacy positional ``num_locations``
-    knob) and the legacy ``num_locations=`` keyword still work as
-    deprecated shims.
+    ``budget`` is a :class:`RunBudget` whose trials are sweep locations.
     """
-    if budget is None and num_locations is not None:
-        budget = num_locations
     if not isinstance(budget, RunBudget):
-        if budget is None:
-            raise TypeError("sweep_pattern needs a RunBudget")
-        warnings.warn(
-            "sweep_pattern's num_locations knob is deprecated; pass "
-            "RunBudget(max_trials=num_locations, workers=...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        budget = RunBudget(max_trials=int(budget))
+        raise TypeError("sweep_pattern needs a RunBudget")
     num_locations = budget.resolve_trials(scale)
 
     spec = ExperimentSpec(

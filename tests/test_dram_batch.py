@@ -131,7 +131,7 @@ def _sweep(batch_locations, workers=1, backend="serial", seed=31):
     return report
 
 
-BACKENDS = ("serial", "fork", "persistent")
+BACKENDS = ("serial", "persistent")
 
 
 @pytest.mark.parametrize("workers", (1, 2))

@@ -14,7 +14,6 @@ from repro import QUICK_SCALE, RunBudget, rhohammer_config
 from repro.common.errors import CalibrationError
 from repro.engine import (
     ExperimentSpec,
-    ForkBatchBackend,
     PersistentPoolBackend,
     SerialBackend,
     create_backend,
@@ -54,6 +53,8 @@ def test_budget_validates_inputs():
     with pytest.raises(CalibrationError):
         RunBudget(backend="threads")
     with pytest.raises(CalibrationError):
+        RunBudget(backend="fork")
+    with pytest.raises(CalibrationError):
         RunBudget().resolve_trials(QUICK_SCALE)
 
 
@@ -73,11 +74,7 @@ def _square(ctx, task):
 
 
 def _backends():
-    return (
-        SerialBackend(),
-        ForkBatchBackend(workers=4),
-        PersistentPoolBackend(workers=4),
-    )
+    return (SerialBackend(), PersistentPoolBackend(workers=4))
 
 
 def test_backends_satisfy_protocol_and_order_results():
@@ -158,11 +155,6 @@ def test_create_backend_honours_explicit_choices(monkeypatch):
         budget=RunBudget.trials(4, workers=4, backend="serial")
     )
     assert isinstance(serial, SerialBackend)
-    fork = create_backend(
-        budget=RunBudget.trials(4, workers=4, backend="fork")
-    )
-    assert isinstance(fork, ForkBatchBackend)
-    fork.close()
     with pytest.raises(ValueError):
         create_backend(workers=2, backend="threads")
 

@@ -109,6 +109,31 @@ def test_unclosed_spans_survive_analysis():
     assert roots[0].children[0].name == "b"
 
 
+def test_open_spans_are_neither_tasks_nor_top_spans(tmp_path):
+    """A killed run's open pool.task is not a finished task on worker ?."""
+    records = [
+        {"ev": "span", "ph": "B", "id": 1, "parent": None,
+         "name": "pool.batch", "attrs": {"tasks": 2, "workers": 2}},
+        {"ev": "span", "ph": "B", "id": 2, "parent": 1, "name": "pool.task",
+         "attrs": {"index": 0}},
+        {"ev": "span", "ph": "E", "id": 2, "attrs": {"status": "ok"},
+         "wall": {"dur_s": 0.5, "worker": 101}},
+        {"ev": "span", "ph": "B", "id": 3, "parent": 1, "name": "pool.task",
+         "attrs": {"index": 1}},
+        # run killed: task 3 and the batch never closed
+    ]
+    trace = tmp_path / "killed.jsonl"
+    trace.write_text("".join(json.dumps(r) + "\n" for r in records))
+    analysis = analyze_run(trace)
+    workers = analysis.workers
+    assert workers.tasks == 1
+    assert "?" not in workers.busy_s_by_worker
+    assert workers.tasks_by_worker == {"101": 1}
+    assert workers.skew == 1.0
+    assert [s["id"] for s in analysis.top_spans] == [2]
+    assert analysis.phases["pool.task"].open_count == 1
+
+
 def test_load_rejects_missing_and_empty_inputs(tmp_path):
     with pytest.raises(RunLoadError):
         RunArtifacts.load(tmp_path / "nope")

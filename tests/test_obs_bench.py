@@ -11,7 +11,6 @@ from repro.obs.bench import (
     TRAJECTORY_SCHEMA,
     append_trajectory,
     check_payload,
-    legacy_main,
     run_suite,
     trajectory_entry,
 )
@@ -244,26 +243,3 @@ def test_cli_bench_registry_and_trajectory_wiring(
     ]) == 0
     capsys.readouterr()
     assert not (clean.parent / "registry.sqlite").exists()
-
-
-def test_legacy_main_delegates_to_the_suite(tmp_path, capsys, monkeypatch):
-    import repro.obs.bench as bench_mod
-
-    seen = {}
-
-    def fake_run_suite(suite, only=None, progress=None):
-        seen["suite"], seen["only"] = suite, only
-        payload = _full_payload()
-        payload["benches"] = {"engine": payload["benches"].pop("fuzz")}
-        return payload
-
-    monkeypatch.setattr(bench_mod, "run_suite", fake_run_suite)
-    results = tmp_path / "BENCH_engine.json"
-    assert legacy_main("engine", results, argv=["--quick"]) == 0
-    assert seen == {"suite": "quick", "only": ["engine"]}
-    printed = capsys.readouterr().out
-    assert "superseded by" in printed
-    assert "bench_all.py --only engine" in printed
-    payload = json.loads(results.read_text())
-    assert payload["schema"] == SCHEMA
-    assert set(payload["benches"]) == {"engine"}

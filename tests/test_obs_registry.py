@@ -23,7 +23,7 @@ from repro.obs.registry import (
     format_history,
     format_trends,
 )
-from repro.obs.store import _MIGRATIONS, RunStore, SqliteRunStore
+from repro.obs.store import _MIGRATIONS, SqliteRunStore
 
 
 def _manifest(flips=100, seed=1, git="abc1234", command="fuzz", **extra):
@@ -504,11 +504,10 @@ def test_history_format_renders_bench_rows(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# RunStore storage interface
+# SqliteRunStore storage layer
 # ----------------------------------------------------------------------
 def test_sqlite_store_satisfies_runstore_contract(tmp_path):
     with SqliteRunStore(tmp_path / "registry.sqlite") as store:
-        assert isinstance(store, RunStore)
         assert store.schema_version == SCHEMA_VERSION
         run_id = store.insert_run(
             {"recorded_at": "2026-01-01T00:00:00+0000", "kind": "run",
@@ -533,21 +532,6 @@ def test_sqlite_store_rejects_unknown_fields_and_filters(tmp_path):
                               "bogus": 1}, {})
         with pytest.raises(RegistryError, match="unknown filter"):
             store.query_runs({"bogus": 1})
-
-
-def test_registry_accepts_injected_store(tmp_path):
-    """A custom RunStore slots in without touching registry call-sites."""
-    store = SqliteRunStore(tmp_path / "registry.sqlite")
-    with RunRegistry(store=store) as reg:
-        assert reg.store is store
-        assert reg.path == store.path
-        reg.record_run(_manifest(flips=5))
-        assert reg.series("counters.dram.flips_total")[0].value == 5.0
-
-
-def test_registry_requires_path_or_store():
-    with pytest.raises(RegistryError, match="path or a store"):
-        RunRegistry()
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,5 @@
 """Pattern fuzzer and fuzzing campaigns."""
 
-import pytest
-
 from repro import QUICK_SCALE, RunBudget, baseline_load_config, rhohammer_config
 from repro.common.rng import RngStream
 from repro.patterns.fuzzer import FuzzingCampaign, PatternFuzzer
@@ -81,16 +79,3 @@ def test_report_table6_cell_format(comet_machine):
     total, best = cell.split(", ")
     assert int(total) == report.total_flips
     assert int(best) == report.best_pattern_flips
-
-
-def test_run_shim_accepts_budget_and_warns_on_legacy_knobs(comet_machine):
-    campaign = FuzzingCampaign(
-        machine=comet_machine,
-        config=rhohammer_config(nop_count=60, num_banks=3),
-        scale=QUICK_SCALE,
-        trials_per_pattern=1,
-    )
-    via_budget = campaign.run(RunBudget.trials(3))  # no warning expected
-    with pytest.warns(DeprecationWarning, match="RunBudget"):
-        via_legacy = campaign.run(max_patterns=3)
-    assert via_budget.patterns_tried == via_legacy.patterns_tried == 3

@@ -54,26 +54,6 @@ def test_sweep_report_consistency(comet_sweep):
     assert comet_sweep.virtual_minutes.size == 12
 
 
-def test_legacy_num_locations_shim_matches_budget(comet_machine, comet_sweep):
-    """Both legacy spellings warn but produce the budgeted sweep."""
-    config = rhohammer_config(nop_count=60, num_banks=3)
-    with pytest.warns(DeprecationWarning, match="RunBudget"):
-        positional = sweep_pattern(
-            comet_machine, config, canonical_compact_pattern(), 12,
-            QUICK_SCALE,
-        )
-    with pytest.warns(DeprecationWarning, match="RunBudget"):
-        keyword = sweep_pattern(
-            comet_machine, config, canonical_compact_pattern(),
-            num_locations=12, scale=QUICK_SCALE,
-        )
-    for legacy in (positional, keyword):
-        assert legacy.base_rows == comet_sweep.base_rows
-        assert (
-            legacy.flips_per_location == comet_sweep.flips_per_location
-        ).all()
-
-
 def _sweep_with(cache_size: int, workers: int):
     machine = build_machine("comet_lake", "S3", scale=QUICK_SCALE, seed=7)
     machine.executor.cache_size = cache_size
