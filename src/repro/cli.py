@@ -21,10 +21,9 @@ Observability (see ``docs/OBSERVABILITY.md``): ``--trace PATH`` streams
 nested phase spans as JSONL, ``--metrics-out PATH`` writes the run
 manifest with the final metric snapshot, ``--out DIR`` writes both under
 their conventional names (``DIR/trace.jsonl``, ``DIR/metrics.json``) so
-the directory is a *run* that ``analyze`` and ``compare`` consume,
-``--profile PATH`` wraps each top-level phase in cProfile and writes a
-per-phase hotspot report, and ``--json`` replaces the human-readable
-table with one machine-readable JSON object on stdout.
+the directory is a *run* that ``analyze`` and ``compare`` consume, and
+``--json`` replaces the human-readable table with one machine-readable
+JSON object on stdout.
 
 Analytics: ``inspect`` summarises a recorded trace, ``analyze`` computes
 per-phase rollups / critical path / worker utilization for one run,
@@ -127,11 +126,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help=f"record the run as a directory: {TRACE_FILENAME} + "
              f"{METRICS_FILENAME} under DIR (the unit `analyze` and "
              "`compare` consume); explicit --trace/--metrics-out win",
-    )
-    parser.add_argument(
-        "--profile", metavar="PATH", default=None,
-        help="wrap each top-level phase span in cProfile and write the "
-             "merged per-phase hotspot report (JSON) to PATH",
     )
     parser.add_argument(
         "--registry", metavar="PATH", default=None,
@@ -1266,7 +1260,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     instrumented = hasattr(args, "trace")
     trace_path = getattr(args, "trace", None)
     metrics_out = getattr(args, "metrics_out", None)
-    profile_out = getattr(args, "profile", None)
     out_dir = getattr(args, "out", None) if instrumented else None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -1275,7 +1268,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     health_s = getattr(args, "health", None) if instrumented else None
     alert_rules = getattr(args, "alert_rules", None) if instrumented else None
     telemetry_on = bool(
-        trace_path or metrics_out or profile_out or health_s or alert_rules
+        trace_path or metrics_out or health_s or alert_rules
     )
     manifest: RunManifest | None = None
     if telemetry_on:
@@ -1284,7 +1277,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 trace_path=trace_path,
                 trace_detail=getattr(args, "trace_detail", "phase"),
                 metrics=True,
-                profile=bool(profile_out),
                 heartbeat_s=getattr(args, "heartbeat", None),
                 health_s=health_s,
                 alert_rules=alert_rules,
@@ -1323,12 +1315,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             manifest.exit_code = code
             if metrics_out:
                 manifest.write(metrics_out)
-            if profile_out and OBS.tracer.profiler is not None:
-                with open(profile_out, "w", encoding="utf-8") as fh:
-                    json.dump(
-                        OBS.tracer.profiler.report(), fh, indent=2
-                    )
-                    fh.write("\n")
             # The registry reads the trace back: write out the span
             # buffer first, or a run shorter than one flush interval
             # registers without its closing records.

@@ -39,7 +39,6 @@ from repro.obs.alerts import (
     AlertEngine,
     AlertRule,
     AlertRuleError,
-    HealthFollower,
     evaluate_records,
     load_rules,
 )
@@ -78,7 +77,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     metric_key,
 )
-from repro.obs.profile import PhaseProfiler, format_profile
 from repro.obs.registry import (
     MetricTrend,
     RegistryError,
@@ -115,23 +113,17 @@ class Telemetry:
         trace_memory: bool = False,
         trace_detail: str = "phase",
         metrics: bool = False,
-        profile: bool = False,
         heartbeat_s: float | None = None,
         health_s: float | None = None,
         alert_rules: Any = None,
     ) -> None:
-        """Turn telemetry on: any of a trace sink, live metrics, and/or
-        the per-phase CPU profiler (see :mod:`repro.obs.profile`).
+        """Turn telemetry on: a trace sink and/or live metrics.
 
         ``health_s`` opts into fleet resource sampling (see
         :mod:`repro.obs.health`); ``alert_rules`` — a rules-file path or
         a sequence of :class:`~repro.obs.alerts.AlertRule` — arms live
         alert evaluation on the trace stream.
         """
-        if profile and trace_path is None and not trace_memory:
-            # The profiler rides on span begin/end hooks, which only fire
-            # on an enabled tracer; an in-memory sink is the cheapest one.
-            trace_memory = True
         if (health_s is not None or alert_rules is not None) and (
             trace_path is None and not trace_memory
         ):
@@ -154,8 +146,6 @@ class Telemetry:
                 ):
                     alert_rules = load_rules(alert_rules)
                 self.tracer.alerts = AlertEngine(alert_rules)
-        if profile:
-            self.tracer.profiler = PhaseProfiler()
         if metrics:
             self.metrics.reset()
             self.metrics.enabled = True
@@ -179,23 +169,20 @@ def telemetry_session(
     trace_memory: bool = False,
     trace_detail: str = "phase",
     metrics: bool = False,
-    profile: bool = False,
     heartbeat_s: float | None = None,
     health_s: float | None = None,
     alert_rules: Any = None,
 ) -> Iterator[Telemetry]:
     """Enable :data:`OBS` for a block, restoring the disabled state after.
 
-    The final metrics snapshot (and the profiler's report, with
-    ``profile=True``) is read *inside* the block (or grab it in a
-    ``finally`` of your own) — ``shutdown()`` clears it.
+    The final metrics snapshot is read *inside* the block (or grab it
+    in a ``finally`` of your own) — ``shutdown()`` clears it.
     """
     OBS.configure(
         trace_path=trace_path,
         trace_memory=trace_memory,
         trace_detail=trace_detail,
         metrics=metrics,
-        profile=profile,
         heartbeat_s=heartbeat_s,
         health_s=health_s,
         alert_rules=alert_rules,
@@ -218,14 +205,12 @@ __all__ = [
     "FleetState",
     "Gauge",
     "HEALTH_EV",
-    "HealthFollower",
     "Histogram",
     "MetricTrend",
     "MetricsBatch",
     "MetricsRegistry",
     "OBS",
     "ResourceSampler",
-    "PhaseProfiler",
     "PhaseRollup",
     "RUN_SCHEMA",
     "RegistryError",
@@ -252,7 +237,6 @@ __all__ = [
     "follow",
     "format_analysis",
     "format_comparison",
-    "format_profile",
     "git_describe",
     "load_rules",
     "metric_key",

@@ -3,9 +3,11 @@
 Rules are loaded from a JSON or TOML file and evaluated two ways: live —
 by the tracer as health records are emitted (firing rules append id-free
 ``{"ev": "alert", ...}`` records to the trace) and by the
-:class:`HealthFollower` driving ``rhohammer status`` / ``top`` — and
-post-hoc over a finished trace by ``rhohammer analyze --alerts``, whose
-exit code turns any firing into a deterministic CI gate.
+:class:`~repro.obs.live.TraceFollower` driving ``rhohammer status`` /
+``top`` — and post-hoc over a finished trace by ``rhohammer analyze
+--alerts``, whose exit code turns any firing into a deterministic CI
+gate.  The follower and the post-hoc pass fold records through the same
+:meth:`AlertEngine.feed`.
 
 Three rule kinds::
 
@@ -38,11 +40,10 @@ import json
 import operator
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
-from repro.obs.health import ALERT_EV, FleetState, HEALTH_EV
-from repro.obs.live import TraceFollower
+from repro.obs.health import ALERT_EV, HEALTH_EV
 
 SEVERITIES = ("info", "warning", "critical")
 
@@ -213,8 +214,10 @@ class AlertEngine:
 
     Feed every ``health`` and ``heartbeat`` wall payload through
     :meth:`observe`; it returns the alert payloads newly fired by that
-    observation (each rule latches after its first firing).  Absence
-    rules are additionally checked against a caller-supplied clock via
+    observation (each rule latches after its first firing).  Readers of
+    a recorded stream call :meth:`feed` with raw records instead, which
+    also reports alert records fired live.  Absence rules are
+    additionally checked against a caller-supplied clock via
     :meth:`check_absence`, and once more against the stream's final
     timestamp via :meth:`finish` for post-hoc evaluation.
     """
@@ -238,6 +241,23 @@ class AlertEngine:
             self.fired[rule_name] = {"rule": rule_name}
 
     # -- evaluation ----------------------------------------------------
+    def feed(self, record: dict[str, Any]) -> list[dict[str, Any]]:
+        """Fold one raw trace record in; return the alerts it fires.
+
+        An alert record fired live is reported once and latches its
+        rule, so a rule never appears twice; health and heartbeat
+        records go through :meth:`observe`; other records fire nothing.
+        """
+        ev = record.get("ev")
+        wall = record.get("wall") or {}
+        if ev == ALERT_EV:
+            fired = [] if wall.get("rule") in self.fired else [dict(wall)]
+            self.latch(wall.get("rule"))
+            return fired
+        if ev in (HEALTH_EV, "heartbeat"):
+            return self.observe(wall, ev=ev)
+        return []
+
     def observe(
         self, payload: dict[str, Any], ev: str = HEALTH_EV
     ) -> list[dict[str, Any]]:
@@ -331,60 +351,18 @@ def evaluate_records(
 ) -> list[dict[str, Any]]:
     """Post-hoc rule evaluation over a finished trace's records.
 
-    Alert records already present in the stream (fired live) are
-    reported as-is and latch their rule names, so a rule never appears
-    twice.  The returned list is deterministic for a deterministic
-    stream — the basis of the ``analyze --alerts`` CI gate.
+    Every record goes through :meth:`AlertEngine.feed`, then absence
+    rules are checked once against the stream's last timestamp.  The
+    returned list is deterministic for a deterministic stream — the
+    basis of the ``analyze --alerts`` CI gate.
     """
     engine = AlertEngine(rules)
     fired: list[dict[str, Any]] = []
     last_t: float | None = None
     for record in records:
-        ev = record.get("ev")
-        wall = record.get("wall") or {}
-        if ev == ALERT_EV:
-            if wall.get("rule") not in engine.fired:
-                fired.append(dict(wall))
-            engine.latch(wall.get("rule"))
-        elif ev in (HEALTH_EV, "heartbeat"):
-            fired.extend(engine.observe(wall, ev=ev))
-        t = wall.get("t")
+        fired.extend(engine.feed(record))
+        t = (record.get("wall") or {}).get("t")
         if isinstance(t, (int, float)) and t:
             last_t = float(t)
     fired.extend(engine.finish(last_t))
     return fired
-
-
-class HealthFollower(TraceFollower):
-    """A follower that also tracks fleet health and evaluates rules live.
-
-    Drives ``rhohammer status`` / ``rhohammer top``: in addition to the
-    base phase-progress state it folds health records into a
-    :class:`~repro.obs.health.FleetState` and runs an
-    :class:`AlertEngine`, collecting every firing (live-recorded alert
-    records and locally evaluated rules alike) in :attr:`alerts`.
-    """
-
-    def __init__(self, rules: Sequence[AlertRule] = ()) -> None:
-        super().__init__()
-        self.engine = AlertEngine(rules)
-        self.fleet = FleetState()
-        self.alerts: list[dict[str, Any]] = []
-
-    def feed(self, record: dict[str, Any]) -> None:
-        super().feed(record)
-        ev = record.get("ev")
-        wall = record.get("wall") or {}
-        if ev == ALERT_EV:
-            if wall.get("rule") not in self.engine.fired:
-                self.alerts.append(dict(wall))
-            self.engine.latch(wall.get("rule"))
-        elif ev == HEALTH_EV:
-            self.fleet.update(wall)
-            self.alerts.extend(self.engine.observe(wall))
-        elif ev == "heartbeat":
-            self.alerts.extend(self.engine.observe(wall, ev="heartbeat"))
-
-    def tick(self, now_t: float) -> None:
-        """Live absence check between records (wall-clock driven)."""
-        self.alerts.extend(self.engine.check_absence(now_t))

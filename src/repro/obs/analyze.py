@@ -8,9 +8,10 @@ cannot: where did the time go (wall *and* virtual, self vs. descendants),
 what chain of phases bounds the run (critical path), and how evenly did
 the pool's workers share the task load (utilization and skew).
 
-The module is pure stdlib and read-only; it powers ``rhohammer analyze``
-and ``rhohammer inspect`` and is the substrate :mod:`repro.obs.compare`
-diffs two runs with.
+The module is pure stdlib and read-only.  It powers ``rhohammer
+analyze`` and ``rhohammer inspect``, its span tree is the one
+``rhohammer export`` lays out as a Chrome trace, and it is the substrate
+:mod:`repro.obs.compare` diffs two runs with.
 """
 
 from __future__ import annotations
@@ -110,18 +111,25 @@ class RunArtifacts:
 # ----------------------------------------------------------------------
 @dataclass
 class SpanNode:
-    """One reconstructed span of the trace tree."""
+    """One reconstructed span of the trace tree.
+
+    ``begin_s`` is the wall time its begin record was written and
+    ``points`` holds the raw point records parented to it; the Chrome
+    export lays both out on a timeline.
+    """
 
     span_id: int
     name: str
     parent: int | None
     attrs: dict[str, Any] = field(default_factory=dict)
+    begin_s: float = 0.0
     wall_s: float = 0.0
     virtual_ns: float = 0.0
     error: str | None = None
     closed: bool = False
     worker: str | None = None
     children: list["SpanNode"] = field(default_factory=list)
+    points: list[dict[str, Any]] = field(default_factory=list)
 
     @property
     def child_wall_s(self) -> float:
@@ -263,7 +271,8 @@ def build_span_tree(
 
     Returns ``(roots, point_counts, manifest_header)``.  Unclosed spans
     (run killed mid-flight) stay in the tree with ``closed=False`` and
-    zero durations.
+    zero durations.  A point whose parent span is unknown is counted but
+    attached nowhere.
     """
     nodes: dict[int, SpanNode] = {}
     roots: list[SpanNode] = []
@@ -280,6 +289,7 @@ def build_span_tree(
                 name=record.get("name", "?"),
                 parent=record.get("parent"),
                 attrs=dict(record.get("attrs") or {}),
+                begin_s=float((record.get("wall") or {}).get("t", 0.0)),
             )
             nodes[node.span_id] = node
             parent = nodes.get(node.parent) if node.parent is not None else None
@@ -303,6 +313,9 @@ def build_span_tree(
         elif kind == "point":
             name = record.get("name", "?")
             points[name] = points.get(name, 0) + 1
+            parent = nodes.get(record.get("parent"))
+            if parent is not None:
+                parent.points.append(record)
     return roots, points, manifest
 
 

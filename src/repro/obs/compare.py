@@ -163,7 +163,7 @@ class RunComparison:
 _IDENTITY_FIELDS = ("command", "seed", "platform", "dimm", "scale", "budget")
 
 
-def _classify(
+def classify_delta(
     section: str,
     key: str,
     a: float,
@@ -172,7 +172,12 @@ def _classify(
     wall_threshold: float,
     gate_wall: bool,
 ) -> Delta | None:
-    """The verdict on one numeric pair; ``None`` when both are zero."""
+    """The verdict on one numeric pair; ``None`` when both are zero.
+
+    The one verdict rule of :mod:`repro.obs`: ``compare`` applies it to
+    every quantity of two runs, and ``trends`` to a metric's latest
+    value against its rolling median.
+    """
     if a == b == 0:
         return None
     wall = is_wall_key(key)
@@ -253,7 +258,7 @@ def compare_runs(
                 )
 
     def classify(section: str, key: str, a: float, b: float) -> None:
-        delta = _classify(
+        delta = classify_delta(
             section, key, a, b, threshold, wall_threshold, gate_wall
         )
         if delta is not None:

@@ -4,11 +4,11 @@ Converts the repo's own artifacts into formats external tooling already
 understands, so a recorded run can be *looked at* without bespoke
 viewers:
 
-* **Chrome Trace Event Format** — the span tree of ``trace.jsonl``
-  becomes paired ``B``/``E`` duration events (one track per worker pid),
-  point events become ``i`` instants, and the final metric snapshot
-  becomes ``C`` counter events.  The resulting JSON object loads
-  directly into Perfetto (https://ui.perfetto.dev) or
+* **Chrome Trace Event Format** — the span tree ``analyze`` builds from
+  ``trace.jsonl`` becomes paired ``B``/``E`` duration events (one track
+  per worker pid), point events become ``i`` instants, and the final
+  metric snapshot becomes ``C`` counter events.  The resulting JSON
+  object loads directly into Perfetto (https://ui.perfetto.dev) or
   ``chrome://tracing``.
 * **OpenMetrics text** — the final metric snapshot (``metrics.json``)
   rendered in the OpenMetrics/Prometheus exposition format: counters,
@@ -26,7 +26,12 @@ import os
 import re
 from typing import Any, Mapping
 
-from repro.obs.analyze import RunArtifacts, RunLoadError
+from repro.obs.analyze import (
+    RunArtifacts,
+    RunLoadError,
+    SpanNode,
+    build_span_tree,
+)
 from repro.obs.trace import read_trace
 
 #: Export formats understood by ``rhohammer export``.
@@ -44,79 +49,13 @@ _MAIN_TID = 0
 # ----------------------------------------------------------------------
 # Chrome Trace Event Format
 # ----------------------------------------------------------------------
-class _SpanEvent:
-    """One reconstructed span with enough to emit a B/E pair."""
-
-    __slots__ = (
-        "span_id", "name", "parent", "attrs", "begin_us",
-        "dur_us", "tid", "children", "points",
-    )
-
-    def __init__(self, span_id: int, name: str, parent: int | None,
-                 attrs: dict[str, Any], begin_us: float) -> None:
-        self.span_id = span_id
-        self.name = name
-        self.parent = parent
-        self.attrs = attrs
-        self.begin_us = begin_us
-        self.dur_us = 0.0
-        self.tid: int | None = None
-        self.children: list["_SpanEvent"] = []
-        self.points: list[dict[str, Any]] = []
+#: A span's settled Chrome track: ``(tid, begin_us, dur_us)``.
+_Track = tuple[int, float, float]
 
 
-def _span_forest(
-    records: list[dict[str, Any]],
-) -> tuple[list[_SpanEvent], dict[str, Any] | None]:
-    """Rebuild the span forest keeping wall begin times and worker tids."""
-    nodes: dict[int, _SpanEvent] = {}
-    roots: list[_SpanEvent] = []
-    manifest: dict[str, Any] | None = None
-    for record in records:
-        kind = record.get("ev")
-        wall = record.get("wall") or {}
-        if kind == "manifest":
-            if manifest is None:
-                manifest = record.get("data")
-        elif kind == "span" and record.get("ph") == "B":
-            node = _SpanEvent(
-                span_id=record.get("id", -1),
-                name=record.get("name", "?"),
-                parent=record.get("parent"),
-                attrs=dict(record.get("attrs") or {}),
-                begin_us=float(wall.get("t", 0.0)) * 1e6,
-            )
-            nodes[node.span_id] = node
-            parent = nodes.get(node.parent) if node.parent is not None else None
-            if parent is not None:
-                parent.children.append(node)
-            else:
-                roots.append(node)
-        elif kind == "span" and record.get("ph") == "E":
-            node = nodes.get(record.get("id"))
-            if node is None:
-                continue  # end without begin: corrupt tail
-            node.attrs.update(record.get("attrs") or {})
-            node.dur_us = float(wall.get("dur_s", 0.0)) * 1e6
-            if "worker" in wall:
-                try:
-                    node.tid = int(wall["worker"])
-                except (TypeError, ValueError):
-                    node.tid = None
-        elif kind == "point":
-            parent = nodes.get(record.get("parent"))
-            point = {
-                "name": record.get("name", "?"),
-                "attrs": dict(record.get("attrs") or {}),
-                "ts_us": float(wall.get("t", 0.0)) * 1e6,
-            }
-            if parent is not None:
-                parent.points.append(point)
-        # heartbeat and unknown kinds carry no structure: skip
-    return roots, manifest
-
-
-def _settle_intervals(node: _SpanEvent, tid: int) -> tuple[float, float]:
+def _settle_intervals(
+    node: SpanNode, tid: int, tracks: dict[int, _Track]
+) -> tuple[float, float]:
     """Bottom-up: grow each span to cover its children, resolve tids.
 
     Fork-pool spans are replayed parent-side *after* their worker-side
@@ -124,22 +63,26 @@ def _settle_intervals(node: _SpanEvent, tid: int) -> tuple[float, float]:
     children's worker-side begins.  Chrome requires strict containment
     per track, so such a span's begin snaps back to its earliest
     same-track child and its (worker-measured) duration re-anchors
-    there — which is when the task actually started.  Returns the
-    settled ``(begin_us, end_us)``.
+    there — which is when the task actually started.  Records each
+    span's track in ``tracks`` (keyed by node identity: a corrupt stream
+    may reuse span ids) and returns its settled ``(begin_us, end_us)``.
     """
-    node.tid = node.tid if node.tid is not None else tid
-    begin = node.begin_us
+    if node.worker is not None:  # the fork worker pid it ran in
+        try:
+            tid = int(node.worker)
+        except ValueError:
+            pass
+    begin = node.begin_s * 1e6
     child_ends: list[float] = []
     for child in node.children:
-        c_begin, c_end = _settle_intervals(child, node.tid)
-        if child.tid == node.tid:
+        c_begin, c_end = _settle_intervals(child, tid, tracks)
+        if tracks[id(child)][0] == tid:
             begin = min(begin, c_begin)
             child_ends.append(c_end)
-    end = begin + max(node.dur_us, 0.0)
+    end = begin + max(node.wall_s * 1e6, 0.0)
     if child_ends:
         end = max(end, max(child_ends))
-    node.begin_us = begin
-    node.dur_us = max(end - begin, 0.0)
+    tracks[id(node)] = (tid, begin, max(end - begin, 0.0))
     return begin, end
 
 
@@ -158,57 +101,64 @@ def chrome_trace(
 ) -> dict[str, Any]:
     """A Chrome Trace Event Format object from raw trace records.
 
-    Every emitted event carries the format's required keys — ``name``,
-    ``ph``, ``ts``, ``pid``, ``tid`` — with timestamps in microseconds.
-    ``B``/``E`` pairs are strictly nested per track: the main process is
-    tid 0 and each fork worker gets its own tid (its pid).
+    Lays out the span tree :func:`~repro.obs.analyze.build_span_tree`
+    builds.  Every emitted event carries the format's required keys —
+    ``name``, ``ph``, ``ts``, ``pid``, ``tid`` — with timestamps in
+    microseconds.  ``B``/``E`` pairs are strictly nested per track: the
+    main process is tid 0 and each fork worker gets its own tid (its
+    pid).
     """
-    roots, manifest = _span_forest(records)
+    roots, _, manifest = build_span_tree(records)
+    tracks: dict[int, _Track] = {}
     t0 = None
     for root in roots:
-        begin, _ = _settle_intervals(root, _MAIN_TID)
+        begin, _ = _settle_intervals(root, _MAIN_TID, tracks)
         t0 = begin if t0 is None else min(t0, begin)
     t0 = t0 or 0.0
 
     events: list[dict[str, Any]] = []
     tids: set[int] = {_MAIN_TID}
 
-    def emit(node: _SpanEvent) -> None:
-        tids.add(node.tid)
-        begin = node.begin_us - t0
+    def emit(node: SpanNode) -> None:
+        tid, begin_us, dur_us = tracks[id(node)]
+        tids.add(tid)
+        begin = begin_us - t0
         events.append({
             "name": node.name,
             "ph": "B",
             "ts": round(begin, 3),
             "pid": _TRACE_PID,
-            "tid": node.tid,
+            "tid": tid,
             "args": _clean_args(node.attrs),
         })
         inner = sorted(
-            [("span", c.begin_us, c) for c in node.children]
-            + [("point", p["ts_us"], p) for p in node.points],
-            key=lambda item: item[1],
+            [(tracks[id(c)][1], c) for c in node.children]
+            + [
+                (float((p.get("wall") or {}).get("t", 0.0)) * 1e6, p)
+                for p in node.points
+            ],
+            key=lambda item: item[0],
         )
-        for kind, ts_us, payload in inner:
-            if kind == "span":
+        for ts_us, payload in inner:
+            if isinstance(payload, SpanNode):
                 emit(payload)
-            else:
-                ts = min(max(ts_us - t0, begin), begin + node.dur_us)
-                events.append({
-                    "name": payload["name"],
-                    "ph": "i",
-                    "ts": round(ts, 3),
-                    "pid": _TRACE_PID,
-                    "tid": node.tid,
-                    "s": "t",
-                    "args": _clean_args(payload["attrs"]),
-                })
+                continue
+            ts = min(max(ts_us - t0, begin), begin + dur_us)
+            events.append({
+                "name": payload.get("name", "?"),
+                "ph": "i",
+                "ts": round(ts, 3),
+                "pid": _TRACE_PID,
+                "tid": tid,
+                "s": "t",
+                "args": _clean_args(payload.get("attrs") or {}),
+            })
         events.append({
             "name": node.name,
             "ph": "E",
-            "ts": round(begin + node.dur_us, 3),
+            "ts": round(begin + dur_us, 3),
             "pid": _TRACE_PID,
-            "tid": node.tid,
+            "tid": tid,
             "args": {},
         })
 

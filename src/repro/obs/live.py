@@ -1,4 +1,4 @@
-"""Live run following: ``rhohammer follow`` tails an in-flight run.
+"""Live run following: one follower behind ``follow``, ``status`` and ``top``.
 
 A recording run appends one JSON record per line to ``trace.jsonl`` and
 flushes after every write (and fork workers never touch the file — their
@@ -19,9 +19,18 @@ a run is alive even when no span boundary has been crossed.  Heartbeats
 carry no ``id`` and live entirely under ``wall``; analytics tooling
 ignores them.
 
-The follower is read-only and stdlib-only; it exits 0 once the run's
-root span closes, 1 when the stream stalls past ``--timeout``, and 2
-when no trace appears at all.
+:class:`TraceFollower` is the one fold over a trace stream that the
+live views share: phase progress from spans, points and heartbeats, the
+per-process fleet view from health records
+(:class:`~repro.obs.health.FleetState`), and alert firings through
+:meth:`~repro.obs.alerts.AlertEngine.feed` — the same fold ``analyze
+--alerts`` runs post-hoc.  ``follow`` draws its one-line progress and
+``top`` (:mod:`repro.obs.top`) its fleet view through one tail loop,
+:func:`watch`; ``status`` draws the fleet view once.
+
+The follower is read-only and stdlib-only; ``follow`` exits 0 once the
+run's root span closes, 1 when the stream stalls past ``--timeout``, and
+2 when no trace appears at all.
 """
 
 from __future__ import annotations
@@ -32,9 +41,11 @@ import pathlib
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, IO
+from typing import Any, Callable, IO, Sequence
 
+from repro.obs.alerts import AlertEngine, AlertRule
 from repro.obs.analyze import TRACE_FILENAME
+from repro.obs.health import HEALTH_EV, FleetState
 
 #: Span names whose end-attrs ``flips`` / point-attrs ``flips`` count as
 #: run progress worth surfacing in the one-line display.
@@ -73,10 +84,19 @@ class FollowState:
 
 
 class TraceFollower:
-    """Folds raw trace records into a :class:`FollowState`."""
+    """Folds raw trace records into progress, fleet health and alerts.
 
-    def __init__(self) -> None:
+    :attr:`state` is the phase progress (:class:`FollowState`),
+    :attr:`fleet` the per-process health view, and :attr:`alerts` every
+    firing in order — alert records recorded live and ``rules``
+    evaluated here alike.
+    """
+
+    def __init__(self, rules: Sequence[AlertRule] = ()) -> None:
         self.state = FollowState()
+        self.fleet = FleetState()
+        self.engine = AlertEngine(rules)
+        self.alerts: list[dict[str, Any]] = []
 
     def feed(self, record: dict[str, Any]) -> None:
         state = self.state
@@ -121,6 +141,13 @@ class TraceFollower:
                 flips = attrs.get("flips")
                 if isinstance(flips, (int, float)):
                     state.flips += int(flips)
+        elif kind == HEALTH_EV:
+            self.fleet.update(record.get("wall") or {})
+        self.alerts.extend(self.engine.feed(record))
+
+    def tick(self, now_t: float) -> None:
+        """Live absence check between records (wall-clock driven)."""
+        self.alerts.extend(self.engine.check_absence(now_t))
 
     # -- rendering -----------------------------------------------------
     def status_line(self) -> str:
@@ -236,6 +263,106 @@ def resolve_trace_path(path: str | os.PathLike[str]) -> str:
     return str(p)
 
 
+def watch(
+    path: str | os.PathLike[str],
+    follower: TraceFollower,
+    frame: Callable[[], str],
+    summary: Callable[[], str],
+    *,
+    screen: bool,
+    interval: float,
+    timeout: float | None,
+    once: bool,
+    stream: IO[str] | None,
+    clock: Callable[[], float],
+    sleep: Callable[[float], None],
+) -> int:
+    """The tail loop behind ``follow`` and ``top``.
+
+    Feeds each new record at ``path`` to ``follower`` and draws
+    ``frame()`` when records arrive — redrawn in place on a terminal
+    (one line, or the whole ``screen``), one line per change otherwise —
+    and ends with ``summary()``.  ``timeout`` is the tolerated silence
+    (no new records) in seconds, ``None`` waits forever; ``once``
+    processes what exists and returns immediately (for scripts and
+    tests).  Exit codes: 0 — the run's root span closed (or ``once``
+    found records); 1 — the stream stalled past ``timeout`` (or ``once``
+    found nothing yet); 2 — no trace file appeared at all.
+    """
+    out = stream if stream is not None else sys.stdout
+    trace_path = resolve_trace_path(path)
+    tail = _Tail(trace_path)
+    interactive = hasattr(out, "isatty") and out.isatty()
+    last_data = clock()
+    shown = ""
+    line_open = False
+
+    def draw(text: str) -> None:
+        nonlocal shown, line_open
+        if text == shown:
+            return
+        shown = text
+        if not interactive:
+            out.write(text + "\n")
+        elif screen:
+            out.write("\x1b[H\x1b[2J" + text + "\n")
+        else:
+            out.write("\r\x1b[2K" + text)
+            line_open = True
+        out.flush()
+
+    def finish(*texts: str) -> None:
+        # End an open progress line first.  Off a terminal, a final
+        # text repeating the last frame is not written twice; on one it
+        # is, so it survives the frame's screen clear.
+        if line_open:
+            out.write("\n")
+        for text in texts:
+            if interactive or text != shown:
+                out.write(text + "\n")
+        out.flush()
+
+    try:
+        while True:
+            opened = tail.open_if_present()
+            records = tail.drain() if opened else []
+            for record in records:
+                follower.feed(record)
+            if records:
+                last_data = clock()
+            if follower.fleet.last_t:
+                # Wall-clock absence rules (no heartbeat for Ns) keep
+                # ticking between records.
+                follower.tick(time.time())
+            if records:
+                draw(frame())
+            if follower.state.done or (once and follower.state.events):
+                finish(summary())
+                return 0
+            if once:
+                finish(f"no trace records at {trace_path} yet")
+                return 1 if opened else 2
+            if timeout is not None and clock() - last_data > timeout:
+                if not opened:
+                    finish(
+                        f"error: no trace appeared at {trace_path} "
+                        f"within {timeout:.0f}s"
+                    )
+                    return 2
+                note = f"stream stalled for {timeout:.0f}s"
+                if screen:
+                    finish(summary(), note)
+                else:
+                    finish(f"{note} — {summary()}")
+                return 1
+            sleep(interval)
+    except KeyboardInterrupt:
+        finish(summary())
+        return 0
+    finally:
+        tail.close()
+
+
 def follow(
     path: str | os.PathLike[str],
     interval: float = 0.5,
@@ -247,77 +374,12 @@ def follow(
 ) -> int:
     """Tail one run's trace stream and render live phase progress.
 
-    ``timeout`` is the tolerated silence (no new records) in seconds,
-    ``None`` waits forever; ``once`` processes what exists and returns
-    immediately (for scripts and tests).  Exit codes: 0 — the run's root
-    span closed (or ``once`` found records); 1 — the stream stalled past
-    ``timeout`` (or ``once`` found nothing yet); 2 — no trace file
-    appeared at all.
+    One status line per change, then the run's final line; the
+    arguments and exit codes are :func:`watch`'s.
     """
-    out = stream if stream is not None else sys.stdout
-    trace_path = resolve_trace_path(path)
-    tail = _Tail(trace_path)
     follower = TraceFollower()
-    start = clock()
-    last_data = start
-    last_line = ""
-    interactive = hasattr(out, "isatty") and out.isatty()
-
-    def render(line: str, final: bool = False) -> None:
-        nonlocal last_line
-        if line == last_line and not final:
-            return
-        last_line = line
-        if interactive and not final:
-            out.write("\r\x1b[2K" + line)
-        else:
-            out.write(line + "\n")
-        out.flush()
-
-    try:
-        while True:
-            opened = tail.open_if_present()
-            records = tail.drain() if opened else []
-            if records:
-                for record in records:
-                    follower.feed(record)
-                last_data = clock()
-                render(follower.status_line())
-            if follower.state.done:
-                if interactive:
-                    out.write("\n")
-                render(follower.final_line(), final=True)
-                return 0
-            if once:
-                if follower.state.events:
-                    render(follower.final_line(), final=True)
-                    return 0
-                render(
-                    f"no trace records at {trace_path} yet", final=True
-                )
-                return 1 if opened else 2
-            now = clock()
-            if timeout is not None and now - last_data > timeout:
-                if not opened:
-                    render(
-                        f"error: no trace appeared at {trace_path} within "
-                        f"{timeout:.0f}s",
-                        final=True,
-                    )
-                    return 2
-                if interactive:
-                    out.write("\n")
-                render(
-                    f"stream stalled for {timeout:.0f}s — "
-                    + follower.final_line(),
-                    final=True,
-                )
-                return 1
-            sleep(interval)
-    except KeyboardInterrupt:
-        if interactive:
-            out.write("\n")
-        render(follower.final_line(), final=True)
-        return 0
-    finally:
-        tail.close()
+    return watch(
+        path, follower, follower.status_line, follower.final_line,
+        screen=False, interval=interval, timeout=timeout, once=once,
+        stream=stream, clock=clock, sleep=sleep,
+    )

@@ -48,6 +48,7 @@ from typing import Any, Iterable, Mapping
 from repro.obs.compare import (
     DEFAULT_THRESHOLD,
     DEFAULT_WALL_THRESHOLD,
+    classify_delta,
     direction_for,
     is_wall_key,
 )
@@ -157,7 +158,7 @@ class TrendPoint:
 class MetricTrend:
     """One metric's cross-run series plus the regression verdict.
 
-    The verdict mirrors ``rhohammer compare``'s semantics: the latest
+    The verdict is ``rhohammer compare``'s classifier: the latest
     value is judged against the **rolling median** of the ``window``
     preceding values; deterministic quantities gate at ±``threshold``
     (default 5%), wall-clock quantities use the laxer
@@ -644,9 +645,9 @@ def compute_trend(
 ) -> MetricTrend:
     """Judge the latest point of one series against its rolling median.
 
-    Classification follows :mod:`repro.obs.compare` exactly — the rolling
-    median of up to ``window`` preceding values stands in for "run A".
-    A series with fewer than two points classifies as ``insufficient``
+    The verdict is :func:`~repro.obs.compare.classify_delta`'s, with the
+    rolling median of up to ``window`` preceding values as "run A".  A
+    series with fewer than two points classifies as ``insufficient``
     (never gated); a metric with no goodness direction classifies as
     ``changed`` when it moves (reported, never gated).
     """
@@ -663,26 +664,16 @@ def compute_trend(
     history = [p.value for p in points[:-1]]
     if not history:
         return trend
-    baseline = _median(history[-window:])
-    trend.baseline = baseline
-    limit = wall_threshold if trend.wall else threshold
-    latest = trend.latest
-    if baseline == latest == 0:
+    trend.baseline = _median(history[-window:])
+    delta = classify_delta(
+        "trend", metric, trend.baseline, trend.latest,
+        threshold, wall_threshold, gate_wall,
+    )
+    if delta is None:  # both zero
         trend.classification = "neutral"
-        return trend
-    trend.rel = (latest - baseline) / abs(baseline) if baseline != 0 else None
-    moved = abs(trend.rel) > limit if trend.rel is not None else True
-    if not moved:
-        trend.classification = "neutral"
-    elif trend.direction == "none":
-        trend.classification = "changed"
     else:
-        worse = (
-            (latest < baseline)
-            if trend.direction == "higher"
-            else (latest > baseline)
-        )
-        trend.classification = "regression" if worse else "improvement"
+        trend.rel = delta.rel
+        trend.classification = delta.classification
     return trend
 
 

@@ -1,10 +1,11 @@
 """Fleet views: ``rhohammer status`` (one-shot) and ``rhohammer top`` (live).
 
-Both are read-only builds on the tailing machinery from
-:mod:`repro.obs.live` and the :class:`~repro.obs.alerts.HealthFollower`:
-they fold the run's trace stream — spans, heartbeats, health samples,
-structured events, alert records — into a per-worker fleet table with
-utilization, RSS, throughput and any firing alerts.
+Both render the one :class:`~repro.obs.live.TraceFollower` that also
+drives ``follow``: it folds the run's trace stream — spans, heartbeats,
+health samples, structured events, alert records — into a per-worker
+fleet table with utilization, RSS, throughput and any firing alerts.
+``top`` redraws it through ``follow``'s tail loop
+(:func:`~repro.obs.live.watch`).
 
 Exit codes: ``status`` returns 2 when no trace exists, 1 when any alert
 is firing, else 0.  ``top`` mirrors ``follow``: 0 once the run's root
@@ -20,16 +21,16 @@ import sys
 import time
 from typing import IO, Any, Callable, Sequence
 
-from repro.obs.alerts import AlertRule, HealthFollower
+from repro.obs.alerts import AlertRule
 from repro.obs.health import format_bytes
-from repro.obs.live import _Tail, resolve_trace_path
+from repro.obs.live import TraceFollower, _Tail, resolve_trace_path, watch
 
 
 def _fmt_pct(value: float | None) -> str:
     return f"{value * 100:.0f}%" if value is not None else "-"
 
 
-def render_fleet(follower: HealthFollower) -> str:
+def render_fleet(follower: TraceFollower) -> str:
     """The multi-line fleet view for one follower state."""
     state = follower.state
     fleet = follower.fleet
@@ -90,7 +91,7 @@ def render_fleet(follower: HealthFollower) -> str:
     return "\n".join(lines)
 
 
-def fleet_dict(follower: HealthFollower) -> dict[str, Any]:
+def fleet_dict(follower: TraceFollower) -> dict[str, Any]:
     """JSON-ready status payload (``rhohammer status --json``)."""
     state = follower.state
     fleet = follower.fleet
@@ -131,7 +132,7 @@ def status(
     if not tail.open_if_present():
         out.write(f"error: no trace at {trace_path}\n")
         return 2
-    follower = HealthFollower(rules)
+    follower = TraceFollower(rules)
     try:
         for record in tail.drain():
             follower.feed(record)
@@ -155,66 +156,13 @@ def top(
     sleep: Callable[[float], None] = time.sleep,
 ) -> int:
     """Live fleet view, redrawn as the trace stream grows."""
-    out = stream if stream is not None else sys.stdout
-    trace_path = resolve_trace_path(path)
-    tail = _Tail(trace_path)
-    follower = HealthFollower(rules)
-    start = clock()
-    last_data = start
-    interactive = hasattr(out, "isatty") and out.isatty()
-    last_view = ""
+    follower = TraceFollower(rules)
 
-    def render(final: bool = False) -> None:
-        nonlocal last_view
-        view = render_fleet(follower)
-        # A final render only repeats an unchanged view on interactive
-        # terminals, where it must survive the last ANSI clear.
-        if view == last_view and not (final and interactive):
-            return
-        last_view = view
-        if interactive and not final:
-            out.write("\x1b[H\x1b[2J" + view + "\n")
-        else:
-            out.write(view + "\n")
-        out.flush()
+    def view() -> str:
+        return render_fleet(follower)
 
-    try:
-        while True:
-            opened = tail.open_if_present()
-            records = tail.drain() if opened else []
-            if records:
-                for record in records:
-                    follower.feed(record)
-                last_data = clock()
-            if follower.fleet.last_t:
-                # Wall-clock absence rules (no heartbeat for Ns) keep
-                # ticking between records.
-                follower.tick(time.time())
-            if records:
-                render()
-            if follower.state.done:
-                render(final=True)
-                return 0
-            if once:
-                if follower.state.events:
-                    render(final=True)
-                    return 0
-                out.write(f"no trace records at {trace_path} yet\n")
-                return 1 if opened else 2
-            now = clock()
-            if timeout is not None and now - last_data > timeout:
-                if not opened:
-                    out.write(
-                        f"error: no trace appeared at {trace_path} "
-                        f"within {timeout:.0f}s\n"
-                    )
-                    return 2
-                render(final=True)
-                out.write(f"stream stalled for {timeout:.0f}s\n")
-                return 1
-            sleep(interval)
-    except KeyboardInterrupt:
-        render(final=True)
-        return 0
-    finally:
-        tail.close()
+    return watch(
+        path, follower, view, view,
+        screen=True, interval=interval, timeout=timeout, once=once,
+        stream=stream, clock=clock, sleep=sleep,
+    )

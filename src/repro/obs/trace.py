@@ -127,9 +127,6 @@ class SpanTracer:
     def __init__(self) -> None:
         self.enabled = False
         self.detail = "phase"
-        #: Optional :class:`repro.obs.profile.PhaseProfiler`; when set,
-        #: every span begin/end is offered to it (it decides ownership).
-        self.profiler: Any | None = None
         #: Minimum seconds between heartbeat records; ``None`` disables.
         self.heartbeat_s: float | None = None
         #: Optional :class:`repro.obs.health.ResourceSampler`; set via
@@ -256,7 +253,6 @@ class SpanTracer:
         self._memory = None
         self.enabled = False
         self.detail = "phase"
-        self.profiler = None
         self.heartbeat_s = None
         self.sampler = None
         self.alerts = None
@@ -386,8 +382,6 @@ class SpanTracer:
         parent = self._stack[-1] if self._stack else None
         self._stack.append(span_id)
         self._stack_names.append(name)
-        if self.profiler is not None:
-            self.profiler.on_span_begin(span_id, name)
         self._emit(
             {
                 "ev": "span",
@@ -404,8 +398,6 @@ class SpanTracer:
     def _end_span(self, span: Span, attrs: dict[str, Any]) -> None:
         if not self.enabled:
             return
-        if self.profiler is not None:
-            self.profiler.on_span_end(span.span_id)
         if self._stack and self._stack[-1] == span.span_id:
             self._stack.pop()
             self._stack_names.pop()

@@ -82,14 +82,15 @@ def test_chrome_trace_required_keys_every_event():
         assert isinstance(event["ts"], (int, float)) and event["ts"] >= 0
 
 
-def test_chrome_trace_tracks_nest_strictly():
-    """Per (pid, tid) track: B/E balance, containment, monotone ts."""
-    events = chrome_trace(TRACE_RECORDS, metrics=METRICS)["traceEvents"]
+def _assert_tracks_nest(events: list[dict]) -> set[int]:
+    """Per (pid, tid) track: B/E balance, containment, monotone ts.
+
+    Returns the tids that carry events.
+    """
     tracks: dict[int, list[dict]] = {}
     for event in events:
         if event["ph"] in {"B", "E", "i"}:
             tracks.setdefault(event["tid"], []).append(event)
-    assert set(tracks) == {0, 4242}
     for tid, track in tracks.items():
         stack: list[dict] = []
         last_ts = 0.0
@@ -102,6 +103,20 @@ def test_chrome_trace_tracks_nest_strictly():
                 assert stack, f"tid {tid}: E without matching B"
                 assert stack.pop()["name"] == event["name"]
         assert stack == [], f"tid {tid}: unclosed spans"
+    return set(tracks)
+
+
+def test_chrome_trace_tracks_nest_strictly():
+    events = chrome_trace(TRACE_RECORDS, metrics=METRICS)["traceEvents"]
+    assert _assert_tracks_nest(events) == {0, 4242}
+
+
+@pytest.mark.parametrize("lines", range(1, len(TRACE_RECORDS) + 1))
+def test_chrome_trace_of_a_killed_run_nests_strictly(lines):
+    """A run killed after any line leaves spans open; they still export
+    as strictly nested tracks."""
+    events = chrome_trace(TRACE_RECORDS[:lines], metrics=METRICS)
+    _assert_tracks_nest(events["traceEvents"])
 
 
 def test_chrome_trace_replayed_span_reanchors_to_child():

@@ -19,8 +19,8 @@ from repro.obs import (
     AlertRule,
     AlertRuleError,
     FleetState,
-    HealthFollower,
     ResourceSampler,
+    TraceFollower,
     evaluate_records,
     load_rules,
     read_trace,
@@ -342,6 +342,33 @@ def _instrumented_fuzz(tmp_path, extra=()):
         "--health", "0.001", *extra,
     ]) == 0
     return trace, metrics
+
+
+def test_follower_alerts_match_post_hoc_evaluation(tmp_path):
+    """``status``/``top`` and ``analyze --alerts`` fold one stream alike.
+
+    Absence rules are left out: ``evaluate_records`` also checks them
+    once more at the stream's end.
+    """
+    rules_path = tmp_path / "rules.json"
+    rules_path.write_text(json.dumps({"rules": [
+        {"name": "tiny-rss", "expr": "rss_bytes > 1"},
+        {"name": "two-spawns", "expr": "worker_spawn >= 2"},
+        {"name": "cpu-rate", "expr": "cpu_s >= 0", "kind": "rate",
+         "window": "60s"},
+    ]}))
+    trace, _ = _instrumented_fuzz(
+        tmp_path, extra=["--alert-rules", str(rules_path)]
+    )
+    records = list(read_trace(trace))
+    assert any(r.get("ev") == "alert" for r in records)  # fired live
+    rules = load_rules(rules_path)
+    follower = TraceFollower(rules)
+    for record in records:
+        follower.feed(record)
+    expected = evaluate_records(records, rules)
+    assert follower.alerts == expected
+    assert {"tiny-rss", "two-spawns"} <= {a["rule"] for a in expected}
 
 
 def test_cli_analyze_alerts_gate_exit_codes(tmp_path, capsys):

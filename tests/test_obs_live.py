@@ -182,6 +182,23 @@ def test_follow_once_modes(tmp_path):
     assert follow(empty, once=True, stream=out) == 1
 
 
+class _Terminal(io.StringIO):
+    def isatty(self):
+        return True
+
+
+def test_follow_once_on_a_terminal_ends_the_progress_line(tmp_path):
+    trace = tmp_path / "trace.jsonl"
+    _write_run(trace, close_root=False)
+    out = _Terminal()
+    assert follow(trace, once=True, stream=out) == 0
+    assert out.getvalue() == (
+        "\r\x1b[2K[2 ev] cli.fuzz\n"
+        "run still running: fuzz on p/d seed=1 — 2 event(s), 0 span(s), "
+        "flips=0, errors=0\n"
+    )
+
+
 def test_cli_follow_once(recorded_runs, capsys):
     run = recorded_runs(
         "follow-fuzz", "fuzz", "--platform", "comet_lake", "--dimm", "S3",
