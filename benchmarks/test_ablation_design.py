@@ -27,10 +27,10 @@ def _flips(machine, config, pattern, rows=(5000, 21000, 42000)) -> int:
         disturbance_gain=BENCH_SCALE.disturbance_gain,
     )
     return sum(
-        session.run_pattern(
-            pattern, row, activations=BENCH_SCALE.acts_per_pattern
-        ).flip_count
-        for row in rows
+        outcome.flip_count
+        for outcome in session.run_pattern_batch(
+            pattern, rows, activations=BENCH_SCALE.acts_per_pattern
+        )
     )
 
 

@@ -24,10 +24,10 @@ def flips_for(machine, pattern) -> int:
         disturbance_gain=QUICK_SCALE.disturbance_gain,
     )
     return sum(
-        session.run_pattern(
-            pattern, row, activations=QUICK_SCALE.acts_per_pattern
-        ).flip_count
-        for row in (6000, 22000)
+        outcome.flip_count
+        for outcome in session.run_pattern_batch(
+            pattern, (6000, 22000), activations=QUICK_SCALE.acts_per_pattern
+        )
     )
 
 

@@ -57,10 +57,11 @@ def run_cell(platform: str, config, label: str, n_patterns: int, dimm: str) -> s
     for i in range(n_patterns):
         pattern = fuzzer.generate()
         flips = 0
-        for base_row in (5000 + i * 300, 20000 + i * 300):
-            outcome = session.run_pattern(
-                pattern, base_row, activations=BENCH_SCALE.acts_per_pattern
-            )
+        for outcome in session.run_pattern_batch(
+            pattern,
+            (5000 + i * 300, 20000 + i * 300),
+            activations=BENCH_SCALE.acts_per_pattern,
+        ):
             flips += outcome.flip_count
             miss_sum += outcome.cache_miss_rate
         total += flips

@@ -71,7 +71,7 @@ from repro import (
     sweep_pattern,
 )
 from repro.common.errors import ReproError
-from repro.engine import BACKEND_CHOICES
+from repro.engine.budget import BACKEND_CHOICES, DEFAULT_BATCH_LOCATIONS
 from repro.exploit import EndToEndAttack
 from repro.exploit.endtoend import canonical_compact_pattern
 from repro.hammer.nops import tune_nop_count, tuned_config_for
@@ -169,30 +169,6 @@ def _add_workers(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _batch_locations_value(value: str):
-    """``--batch-locations`` argument: a positive int, 'auto' or 'off'."""
-    if value in ("auto", "off"):
-        return value
-    try:
-        size = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive int, 'auto' or 'off', got {value!r}"
-        ) from None
-    if size < 1:
-        raise argparse.ArgumentTypeError("batch size must be >= 1")
-    return size
-
-
-def _add_batch_locations(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--batch-locations", type=_batch_locations_value, default="auto",
-        metavar="N|auto|off",
-        help="locations per batched hammer task (one vectorised pass per "
-             "chunk); results are bit-identical to --batch-locations off",
-    )
-
-
 def _add_json(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--json", action="store_true",
@@ -242,7 +218,6 @@ def cmd_reveng(args) -> int:
                 args.runs,
                 workers=args.workers,
                 backend=args.backend,
-                batch_locations=args.batch_locations,
             ),
             base_seed=args.seed,
             fraction=args.fraction,
@@ -357,7 +332,6 @@ def cmd_exploit(args) -> int:
         config=config,
         pattern=canonical_compact_pattern(),
         scale=scale,
-        batch_locations=args.batch_locations,
     )
     outcome = attack.run()
     if args.json:
@@ -896,7 +870,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=int, default=1,
                    help="repeat the recovery this many times with "
                         "independent seeds and report Table 5 statistics")
-    _add_batch_locations(p)
     p.set_defaults(func=cmd_reveng)
 
     p = sub.add_parser("fuzz", help="fuzz non-uniform hammer patterns")
@@ -913,13 +886,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_workers(p)
     _add_json(p)
     p.add_argument("--locations", type=int, default=16)
-    _add_batch_locations(p)
+    p.add_argument(
+        "--batch-locations", type=int, default=DEFAULT_BATCH_LOCATIONS,
+        metavar="N",
+        help="locations per pool task, hammered in one vectorised pass "
+             "(results are bit-identical for every N)",
+    )
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("exploit", help="end-to-end PTE corruption attack")
     _add_common(p)
     _add_json(p)
-    _add_batch_locations(p)
     p.set_defaults(func=cmd_exploit)
 
     p = sub.add_parser("tune", help="NOP pseudo-barrier tuning phase")

@@ -615,23 +615,32 @@ class Dimm:
         bank_streams: dict[int, tuple[np.ndarray, np.ndarray]],
         deltas: np.ndarray,
     ) -> list[tuple[int, np.ndarray, np.ndarray]]:
-        """The non-empty ``(bank, times, rows)`` streams, validated.
+        """The non-empty ``(bank, times, rows)`` streams, validated."""
+        self.check_rows(bank_streams, deltas)
+        return [
+            (bank, times, np.ascontiguousarray(rows, dtype=np.int64))
+            for bank, (times, rows) in bank_streams.items()
+            if times.size
+        ]
 
-        Times and rows must align, and every location's rows must lie on
-        the device: the padded window would turn an off-device ACT into
-        silently wrong flips.
+    def check_rows(
+        self,
+        bank_streams: dict[int, tuple[np.ndarray, np.ndarray]],
+        deltas: np.ndarray,
+    ) -> None:
+        """Raise :class:`SimulationError` unless every stream is playable.
+
+        Times and rows must align, and every location's rows (each stream
+        shifted by each of ``deltas``) must lie on the device: the padded
+        window would turn an off-device ACT into silently wrong flips.
         """
         rows_total = self.spec.geometry.rows
         d_lo = int(deltas.min())
         d_hi = int(deltas.max())
-        banks = []
         for bank, (times, rows) in bank_streams.items():
             if times.shape != rows.shape:
                 raise SimulationError("times and rows must align")
-            if times.size == 0:
-                continue
-            rows = np.ascontiguousarray(rows, dtype=np.int64)
-            if (
+            if times.size and (
                 int(rows.min()) + d_lo < 0
                 or int(rows.max()) + d_hi >= rows_total
             ):
@@ -639,8 +648,6 @@ class Dimm:
                     f"bank {bank} activates rows outside the device's "
                     f"{rows_total} rows"
                 )
-            banks.append((bank, times, rows))
-        return banks
 
     def _hammer_locations(
         self,

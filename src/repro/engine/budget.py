@@ -31,30 +31,11 @@ from repro.system.machine import Machine
 #: and serial otherwise; the explicit names are honoured verbatim.
 BACKEND_CHOICES: tuple[str, ...] = ("auto", "serial", "persistent")
 
-#: Locations per batched hammer task under ``batch_locations="auto"`` —
-#: large enough to amortise the per-interval Python loop across a chunk,
-#: small enough that one task stays a responsive pool work unit and its
-#: ``(locations x span)`` state matrices stay cache-friendly.
+#: Default locations per batched sweep task — large enough to amortise
+#: the per-interval Python loop across a chunk, small enough that one
+#: task stays a responsive pool work unit and its ``(locations x span)``
+#: state matrices stay cache-friendly.
 DEFAULT_BATCH_LOCATIONS = 16
-
-
-def resolve_batch_locations(batch_locations, trials: int) -> int:
-    """Resolve the ``int | "auto" | "off"`` batch-size knob to a chunk size.
-
-    ``"off"`` means per-trial execution (chunk size 1); ``"auto"`` picks
-    :data:`DEFAULT_BATCH_LOCATIONS`; an int is honoured verbatim.  The
-    result is clamped to ``trials`` so a tiny run never builds an
-    oversized batch.
-    """
-    if batch_locations == "off":
-        return 1
-    if batch_locations == "auto":
-        size = DEFAULT_BATCH_LOCATIONS
-    else:
-        size = int(batch_locations)
-        if size < 1:
-            raise CalibrationError("batch_locations must be >= 1")
-    return max(1, min(size, trials)) if trials > 0 else 1
 
 
 @dataclass(frozen=True)
@@ -75,12 +56,10 @@ class RunBudget:
     max_trials: int | None = None
     workers: int = 1
     backend: str = "auto"
-    #: Locations per batched hammer task: a positive int, ``"auto"``
-    #: (:data:`DEFAULT_BATCH_LOCATIONS`, clamped to the trial count) or
-    #: ``"off"`` (per-trial execution).  Batched and per-trial runs are
-    #: bit-identical by construction; this knob only trades wall time
-    #: against per-task memory.
-    batch_locations: int | str = "auto"
+    #: Locations per batched sweep task (a positive int).  Every chunk
+    #: size gives bit-identical results; this knob only trades pool load
+    #: balance against per-task overhead.
+    batch_locations: int = DEFAULT_BATCH_LOCATIONS
 
     def __post_init__(self) -> None:
         if self.hours is not None and self.hours <= 0:
@@ -94,16 +73,12 @@ class RunBudget:
                 "RunBudget.backend must be one of "
                 + ", ".join(BACKEND_CHOICES)
             )
-        if isinstance(self.batch_locations, str):
-            if self.batch_locations not in ("auto", "off"):
-                raise CalibrationError(
-                    "RunBudget.batch_locations must be a positive int, "
-                    "'auto' or 'off'"
-                )
-        elif self.batch_locations < 1:
+        if (
+            not isinstance(self.batch_locations, int)
+            or self.batch_locations < 1
+        ):
             raise CalibrationError(
-                "RunBudget.batch_locations must be a positive int, "
-                "'auto' or 'off'"
+                "RunBudget.batch_locations must be a positive int"
             )
 
     @classmethod
@@ -112,7 +87,7 @@ class RunBudget:
         count: int,
         workers: int = 1,
         backend: str = "auto",
-        batch_locations: int | str = "auto",
+        batch_locations: int = DEFAULT_BATCH_LOCATIONS,
     ) -> "RunBudget":
         """A budget of exactly ``count`` trials (the common spelling)."""
         return cls(
@@ -123,8 +98,12 @@ class RunBudget:
         )
 
     def resolve_batch_locations(self, trials: int) -> int:
-        """Locations per batched task for a ``trials``-location run."""
-        return resolve_batch_locations(self.batch_locations, trials)
+        """Locations per batched task for a ``trials``-location run.
+
+        Clamped to ``trials`` so a tiny run never builds an oversized
+        batch.
+        """
+        return max(1, min(self.batch_locations, trials))
 
     def resolve_trials(
         self,

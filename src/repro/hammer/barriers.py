@@ -69,10 +69,9 @@ def compare_barriers(
         duration_ns = 0.0
         issued = 0
         miss = 0.0
-        for base_row in base_rows:
-            outcome = session.run_pattern(
-                pattern, base_row, activations=activations_per_row
-            )
+        for outcome in session.run_pattern_batch(
+            pattern, base_rows, activations=activations_per_row
+        ):
             flips += outcome.flip_count
             duration_ns += outcome.duration_ns
             issued += outcome.acts_issued

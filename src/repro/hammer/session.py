@@ -95,13 +95,9 @@ class HammerSession:
         collect_events: bool = False,
     ) -> PatternOutcome:
         """Hammer ``pattern`` at ``base_row`` for ~``activations`` accesses."""
-        run = partial(
-            self._run_pattern,
-            pattern, base_row, activations, banks, collect_events,
-        )
-        if not OBS.enabled:
-            return run()
-        return self._dispatch(base_row, activations, run)
+        return self._hammer(
+            pattern, [int(base_row)], activations, banks, collect_events
+        )[0]
 
     def prepare_stream(
         self,
@@ -168,113 +164,82 @@ class HammerSession:
         but the DRAM interval loop runs once for the whole batch: the
         expanded stream and all TRR/pTRR/RFM decisions are base-row
         independent in window coordinates (see :meth:`Dimm.hammer_batch
-        <repro.dram.device.Dimm.hammer_batch>`).  One location runs as
-        a :meth:`run_pattern` call, and so does every location under
-        window-detail tracing or with out-of-range base rows: both need
-        exact per-trial ordering (as do non-identity row remappers, which
-        the memory controller runs per location).
+        <repro.dram.device.Dimm.hammer_batch>`).
         """
-        rows_list = [int(r) for r in base_rows]
-        if len(rows_list) <= 1 or not self._batchable(pattern, rows_list):
-            return [
-                self.run_pattern(
-                    pattern, row, activations, banks, collect_events
-                )
-                for row in rows_list
-            ]
-        # Per-location stream preparation: every location performs the
-        # same memoised expansion + execution lookups its run_pattern
-        # call would, so cache telemetry (hammer.stream_cache.*,
-        # cpu.executor.cache_*) matches the per-trial loop exactly.  With
-        # the executor memo disabled a lookup would be a full re-run, so
-        # one real execution serves all locations (neither path emits
-        # cache counters then).
-        for _ in rows_list:
-            execution, target_banks = self._execute(
-                pattern, activations, banks
-            )
-            if self.machine.executor.cache_size <= 0:
-                break
-        results = self.machine.controller.execute_acts_batch(
-            execution.times_ns,
-            self._addresses(pattern, rows_list[0], target_banks, execution),
-            np.asarray(rows_list, dtype=np.int64) - rows_list[0],
-            collect_events=collect_events,
-            disturbance_gain=self.disturbance_gain,
-        )
-        outcomes = [_outcome(result, execution) for result in results]
-        if OBS.enabled:
-            for row, outcome in zip(rows_list, outcomes):
-                self._dispatch(row, activations, lambda o=outcome: o)
-        return outcomes
-
-    def _batchable(
-        self, pattern: NonUniformPattern, rows_list: list[int]
-    ) -> bool:
-        """Session-level batch eligibility (cheap, pre-stream checks).
-
-        Out-of-range rows run per trial so the per-trial loop raises its
-        :class:`MappingError` at the same location a serial run would;
-        window-detail tracing needs per-trial span nesting.  The
-        remapper check lives with the memory controller, which owns it.
-        """
-        if OBS.tracer.enabled and OBS.tracer.detail == "window":
-            return False
-        offsets = pattern.aggressor_row_offsets()
-        off_lo = int(offsets.min())
-        off_hi = int(offsets.max())
-        num_rows = self.machine.mapping.num_rows
-        return (
-            min(rows_list) + off_lo >= 0
-            and max(rows_list) + off_hi < num_rows
+        return self._hammer(
+            pattern, [int(r) for r in base_rows], activations, banks,
+            collect_events,
         )
 
-    def _run_pattern(
+    def _hammer(
         self,
         pattern: NonUniformPattern,
-        base_row: int,
+        rows: list[int],
         activations: int,
         banks: tuple[int, ...] | None,
         collect_events: bool,
-    ) -> PatternOutcome:
-        execution, target_banks = self._execute(pattern, activations, banks)
-        result = self.machine.controller.execute_acts(
-            execution.times_ns,
-            self._addresses(pattern, base_row, target_banks, execution),
-            collect_events=collect_events,
-            disturbance_gain=self.disturbance_gain,
-        )
-        return _outcome(result, execution)
+    ) -> list[PatternOutcome]:
+        """The one hammer path behind :meth:`run_pattern` and
+        :meth:`run_pattern_batch` (neither calls the other, so wrappers
+        around them by name never nest).
 
-    def _execute(
+        A lone row runs inside its own ``hammer.pattern`` span, and so
+        does every row under window-detail tracing, whose per-window
+        points need that span as their parent.  More rows share one
+        memory-controller pass and emit their spans after it.
+        """
+        if not rows:
+            return []
+        run = partial(self._pass, pattern, activations, banks, collect_events)
+        if not OBS.enabled:
+            return run(rows)
+        tracer = OBS.tracer
+        if len(rows) == 1 or (tracer.enabled and tracer.detail == "window"):
+            return [
+                self._dispatch(row, activations, lambda r=row: run([r])[0])
+                for row in rows
+            ]
+        outcomes = run(rows)
+        for row, outcome in zip(rows, outcomes):
+            self._dispatch(row, activations, lambda o=outcome: o)
+        return outcomes
+
+    def _pass(
         self,
         pattern: NonUniformPattern,
         activations: int,
         banks: tuple[int, ...] | None,
-    ):
-        """The expanded stream run through the CPU executor (memoised)."""
-        combined, target_banks = self.prepare_stream(
-            pattern, activations, banks
-        )
-        execution = self.machine.executor.execute(combined, self.config)
-        return execution, target_banks
-
-    def _addresses(
-        self,
-        pattern: NonUniformPattern,
-        base_row: int,
-        target_banks: list[int],
-        execution,
-    ) -> np.ndarray:
-        """The physical address of every executed access at ``base_row``."""
-        addr_table = multibank_addresses(
+        collect_events: bool,
+        rows: list[int],
+    ) -> list[PatternOutcome]:
+        """One memory-controller call hammering ``pattern`` at ``rows``."""
+        # One stream and executor lookup per row, so cache telemetry
+        # (hammer.stream_cache.*, cpu.executor.cache_*) does not depend on
+        # how rows are grouped.  With the executor memo disabled a lookup
+        # would be a full re-run, so one execution serves every row.
+        executor = self.machine.executor
+        execution = None
+        for _ in rows:
+            combined, target_banks = self.prepare_stream(
+                pattern, activations, banks
+            )
+            if execution is None or executor.cache_size > 0:
+                execution = executor.execute(combined, self.config)
+        # Address index = aggressor id * n_banks + bank lane.
+        addresses = multibank_addresses(
             self.machine.mapping,
             pattern.aggressor_row_offsets(),
-            base_row,
+            rows[0],
             target_banks,
+        ).reshape(-1)[execution.address_ids]
+        results = self.machine.controller.execute_acts_batch(
+            execution.times_ns,
+            addresses,
+            np.asarray(rows, dtype=np.int64) - rows[0],
+            collect_events=collect_events,
+            disturbance_gain=self.disturbance_gain,
         )
-        flat_addrs = addr_table.reshape(-1)  # index = agg_id * n_banks + lane
-        return flat_addrs[execution.address_ids]
+        return [_outcome(result, execution) for result in results]
 
     @staticmethod
     def _dispatch(base_row: int, activations: int, run) -> PatternOutcome:

@@ -87,11 +87,19 @@ class MemoryController:
         history-dependent — a shifted stream does not remap to a shifted
         stream — so any non-identity remapper forces the serial
         per-location path, preserving the remapper's state evolution in
-        location order.
+        location order.  A lone location takes that path too, exactly
+        as :meth:`execute_acts` runs it.
+
+        Every location's shifted rows are checked against the device
+        before any location runs and before any remapping: a remapper
+        can fold an off-device row back onto the device.
         """
         streams = self._bank_streams(times, phys_addrs)
         deltas = np.ascontiguousarray(np.asarray(row_deltas, dtype=np.int64))
-        if type(self.remapper) is RowRemapper:  # identity: safe to batch
+        if not deltas.size:
+            return []
+        self.dimm.check_rows(streams, deltas)
+        if type(self.remapper) is RowRemapper and deltas.size > 1:
             return self.dimm.hammer_batch(
                 streams,
                 deltas,

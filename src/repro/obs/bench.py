@@ -474,8 +474,8 @@ def bench_dram(params) -> dict[str, Any]:
 #: The batched multi-location pass must beat the per-location loop by at
 #: least this factor on the bench workload (same process, warm caches).
 BATCH_SPEEDUP_FLOOR = 3.0
-#: Locations per batched pass in the ``dram_batch`` leg — the
-#: ``batch_locations="auto"`` production chunk size.
+#: Locations per batched pass in the ``dram_batch`` leg — the default
+#: ``sweep`` chunk size (``DEFAULT_BATCH_LOCATIONS``).
 BATCH_BENCH_LOCATIONS = 16
 
 

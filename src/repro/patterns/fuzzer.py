@@ -172,10 +172,9 @@ class FuzzingCampaign:
         def run_trial(session, task: _PatternTrial) -> _TrialResult:
             flips = 0
             miss_sum = 0.0
-            for base_row in task.base_rows:
-                outcome = session.run_pattern(
-                    task.pattern, base_row, activations=acts
-                )
+            for outcome in session.run_pattern_batch(
+                task.pattern, task.base_rows, activations=acts
+            ):
                 flips += outcome.flip_count
                 miss_sum += outcome.cache_miss_rate
             return _TrialResult(flips, miss_sum, len(task.base_rows))

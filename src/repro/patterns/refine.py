@@ -45,14 +45,12 @@ class RefinementResult:
 
 def _filler_ids(pattern: NonUniformPattern) -> list[int]:
     """Recover which pairs currently rotate through the filler slots."""
-    filled = set(pattern.slots.tolist())
     explicit_only = []
     for pair in pattern.pairs:
         share = pattern.slot_share(pair)
         explicit = pair.frequency * pair.amplitude * 2 / pattern.base_period
         if share > explicit * 1.5:
             explicit_only.append(pair.pair_id)
-    del filled
     return explicit_only or [p.pair_id for p in pattern.pairs]
 
 
@@ -113,10 +111,10 @@ def refine_pattern(
 
     def score(pattern: NonUniformPattern) -> int:
         return sum(
-            session.run_pattern(
-                pattern, row, activations=scale.acts_per_pattern
-            ).flip_count
-            for row in base_rows
+            outcome.flip_count
+            for outcome in session.run_pattern_batch(
+                pattern, base_rows, activations=scale.acts_per_pattern
+            )
         )
 
     evaluations = 1

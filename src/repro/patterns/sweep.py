@@ -104,7 +104,6 @@ def sweep_pattern(
     # Locations are dispatched to the pool in chunks; each chunk hammers
     # all its locations in one vectorised multi-location pass
     # (bit-identical to the per-location loop, see run_pattern_batch).
-    # With batching off every chunk holds one location.
     batch_size = budget.resolve_batch_locations(num_locations)
     row_ints = [int(r) for r in base_rows.tolist()]
     chunks = [

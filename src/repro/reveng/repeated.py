@@ -109,35 +109,12 @@ def repeated_reveng(
             correct=score.fully_correct,
         )
 
-    def run_group(_ctx, group: tuple[int, ...]) -> list[RevEngRunOutcome]:
-        return [run_once(None, seed) for seed in group]
-
-    # Each run builds its own machine (a fresh seed changes every stream),
-    # so there is no cross-run vectorisation to exploit here — unlike
-    # sweeping, ``batch_locations`` only coarsens the pool task
-    # granularity.  ``"auto"`` therefore stays per-run; an explicit int
-    # groups that many seeds per task.
-    chunk = budget.batch_locations
-    chunk = 1 if isinstance(chunk, str) else max(1, min(int(chunk), runs))
     with create_backend(budget) as backend:
-        if chunk <= 1:
-            batch = backend.map(run_once, seeds)
-            results = list(batch.results)
-        else:
-            groups = [
-                tuple(seeds[i:i + chunk]) for i in range(0, runs, chunk)
-            ]
-            batch = backend.map(run_group, groups)
-            results = []
-            for group, result in zip(groups, batch.results):
-                if result is None:  # whole group failed or was skipped
-                    results.extend([None] * len(group))
-                else:
-                    results.extend(result)
+        batch = backend.map(run_once, seeds)
     return RepeatedRevEngStats(
         platform=platform,
         dimm_id=dimm_id,
-        outcomes=tuple(r for r in results if r is not None),
+        outcomes=tuple(r for r in batch.results if r is not None),
         runs_requested=runs,
-        notes=batch.notes(label="run" if chunk <= 1 else "group"),
+        notes=batch.notes(label="run"),
     )

@@ -91,6 +91,20 @@ def test_invalid_platform_rejected():
         main(["fuzz", "--platform", "meteor_lake"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["sweep", "--batch-locations", "off"],
+        ["exploit", "--batch-locations", "4"],
+    ),
+    ids=("sweep-off", "exploit"),
+)
+def test_batch_locations_is_an_int_on_sweep_only(argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+
+
 def test_workers_flag_accepted(capsys):
     code = main(["fuzz", "--platform", "comet_lake", "--dimm", "S3",
                  "--patterns", "4", "--workers", "2"])

@@ -21,10 +21,16 @@ from repro import (
     rhohammer_config,
     sweep_pattern,
 )
+from repro.common.errors import ReproError
+from repro.dram.mitigations import ScrambledMapping
 from repro.engine import ExperimentSpec, PersistentPoolBackend
-from repro.exploit.endtoend import canonical_compact_pattern
+from repro.exploit.endtoend import canonical_compact_pattern, find_compact_pattern
+from repro.hammer.barriers import compare_barriers
+from repro.hammer.nops import tune_nop_count
 from repro.hammer.session import HammerSession
 from repro.obs import telemetry_session
+from repro.patterns.fuzzer import FuzzingCampaign
+from repro.patterns.refine import refine_pattern
 
 #: Includes both device edges: row 65,525 is the top one for the compact
 #: pattern's aggressor offsets 0-10, so those windows reach past an edge.
@@ -101,6 +107,28 @@ def test_run_pattern_batch_metrics_match_serial_loop():
     assert batched_snap == serial_snap
 
 
+def test_run_pattern_batch_metrics_match_serial_loop_without_memo():
+    """With the executor memo off one execution serves the whole batch,
+    and the stream memo still counts one lookup per row."""
+    pattern = canonical_compact_pattern()
+    acts = QUICK_SCALE.acts_per_pattern
+    rows = BASE_ROWS[:3]
+
+    def run(hammer):
+        machine = _machine()
+        machine.executor.cache_size = 0
+        with telemetry_session(metrics=True) as obs:
+            flips = [o.flip_count for o in hammer(_session(machine))]
+            return flips, obs.metrics.snapshot()
+
+    serial = run(
+        lambda s: [s.run_pattern(pattern, r, activations=acts) for r in rows]
+    )
+    batched = run(lambda s: s.run_pattern_batch(pattern, rows, activations=acts))
+    assert batched == serial
+    assert serial[1]["counters"]["hammer.stream_cache.hits"] == 2
+
+
 def test_run_pattern_batch_trivial_inputs():
     pattern = canonical_compact_pattern()
     acts = QUICK_SCALE.acts_per_pattern
@@ -113,6 +141,103 @@ def test_run_pattern_batch_trivial_inputs():
     lone = _session(_machine()).run_pattern(pattern, 4096, acts)
     assert len(single) == 1
     assert _outcome_key(single[0]) == _outcome_key(lone)
+
+
+@pytest.mark.parametrize("off_row", (-5000, 65546))
+@pytest.mark.parametrize(
+    "position", (0, 1, 2), ids=("first", "middle", "last")
+)
+def test_run_pattern_batch_rejects_off_device_rows(position, off_row):
+    """An off-device row raises wherever it sits in the batch, also behind
+    a remapper that would fold it back onto the device."""
+    machine = _machine()
+    machine.controller.remapper = ScrambledMapping(
+        geometry=machine.dimm.spec.geometry, boot_key=0xBEEF
+    )
+    rows = [4096, 9000, 30000]
+    rows[position] = off_row
+    with pytest.raises(ReproError):
+        _session(machine).run_pattern_batch(
+            canonical_compact_pattern(), rows,
+            activations=QUICK_SCALE.acts_per_pattern,
+        )
+
+
+def _run_fuzzer(machine):
+    report = FuzzingCampaign(
+        machine=machine, config=_config(), scale=QUICK_SCALE
+    ).execute(RunBudget.trials(2, backend="serial"))
+    return (
+        report.total_flips,
+        report.best_pattern_flips,
+        report.best_pattern.describe() if report.best_pattern else None,
+        report.effective_patterns,
+        report.mean_miss_rate,
+        report.notes,
+    )
+
+
+def _run_refine(machine):
+    result = refine_pattern(
+        machine, _config(), canonical_compact_pattern(), QUICK_SCALE,
+        max_rounds=1, neighbours_per_round=3,
+    )
+    return (
+        result.seed_flips,
+        result.best_flips,
+        result.best_pattern.slots.tolist(),
+        result.rounds,
+        result.evaluations,
+    )
+
+
+def _run_nops(machine):
+    return tune_nop_count(
+        machine, _config(), canonical_compact_pattern(), [5000, 21000],
+        QUICK_SCALE.acts_per_pattern, nop_grid=(0, 60, 220),
+        scale=QUICK_SCALE,
+    )
+
+
+def _run_barriers(machine):
+    return compare_barriers(
+        machine, canonical_compact_pattern(), [4096, 9000],
+        QUICK_SCALE.acts_per_pattern, nop_count=60, num_banks=3,
+        scale=QUICK_SCALE,
+    )
+
+
+def _run_compact(machine):
+    pattern, flips = find_compact_pattern(
+        machine, _config(), QUICK_SCALE, tries=5
+    )
+    return (pattern.slots.tolist() if pattern else None), flips
+
+
+@pytest.mark.parametrize(
+    "caller",
+    (_run_fuzzer, _run_refine, _run_nops, _run_barriers, _run_compact),
+    ids=("fuzzer", "refine", "nops", "barriers", "compact"),
+)
+def test_callers_match_per_row_loop(caller, monkeypatch):
+    """Every caller of ``run_pattern_batch`` gets the result and merged
+    metric snapshot a loop of one-row ``run_pattern`` calls gives."""
+    with telemetry_session(metrics=True) as obs:
+        batched = caller(_machine())
+        batched_snap = _simulation_metrics(obs.metrics.snapshot())
+
+    def per_row(self, pattern, base_rows, *args, **kwargs):
+        return [
+            self.run_pattern(pattern, row, *args, **kwargs)
+            for row in base_rows
+        ]
+
+    monkeypatch.setattr(HammerSession, "run_pattern_batch", per_row)
+    with telemetry_session(metrics=True) as obs:
+        looped = caller(_machine())
+        looped_snap = _simulation_metrics(obs.metrics.snapshot())
+    assert batched == looped
+    assert batched_snap == looped_snap
 
 
 def _sweep(batch_locations, workers=1, backend="serial", seed=31):
@@ -137,7 +262,7 @@ BACKENDS = ("serial", "persistent")
 @pytest.mark.parametrize("workers", (1, 2))
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_batched_sweep_bit_identical_across_backends(backend, workers):
-    baseline = _sweep("off")
+    baseline = _sweep(1)
     batched = _sweep(4, workers=workers, backend=backend)
     assert batched.base_rows == baseline.base_rows
     assert (batched.flips_per_location == baseline.flips_per_location).all()
@@ -173,7 +298,7 @@ def test_batched_sweep_metrics_match_unbatched(workers, backend):
     property of the pool, not of batching.
     """
     with telemetry_session(metrics=True) as obs:
-        _sweep("off", workers=workers, backend=backend)
+        _sweep(1, workers=workers, backend=backend)
         unbatched_snap = _simulation_metrics(obs.metrics.snapshot())
     with telemetry_session(metrics=True) as obs:
         _sweep(4, workers=workers, backend=backend)

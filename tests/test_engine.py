@@ -56,6 +56,9 @@ def test_budget_validates_inputs():
         RunBudget(backend="fork")
     with pytest.raises(CalibrationError):
         RunBudget().resolve_trials(QUICK_SCALE)
+    for batch_locations in (0, "auto", "off"):
+        with pytest.raises(CalibrationError):
+            RunBudget(batch_locations=batch_locations)
 
 
 def test_spec_derives_stable_task_streams(comet_machine):
@@ -207,7 +210,7 @@ def test_fuzzing_is_bit_identical_across_backends(comet_machine):
         assert (serial.best_pattern.slots == parallel.best_pattern.slots).all()
 
 
-def _sweep_report(machine, workers, backend="auto", batch_locations="auto"):
+def _sweep_report(machine, workers, backend="auto", batch_locations=16):
     return sweep_pattern(
         machine,
         CONFIG,
@@ -224,8 +227,12 @@ def _sweep_report(machine, workers, backend="auto", batch_locations="auto"):
 
 
 def test_sweep_is_bit_identical_across_backends(comet_machine):
-    serial = _sweep_report(comet_machine, workers=1, backend="serial")
-    parallel = _sweep_report(comet_machine, workers=4, backend="persistent")
+    serial = _sweep_report(
+        comet_machine, workers=1, backend="serial", batch_locations=2
+    )
+    parallel = _sweep_report(
+        comet_machine, workers=4, backend="persistent", batch_locations=2
+    )
     assert serial.base_rows == parallel.base_rows
     assert (serial.flips_per_location == parallel.flips_per_location).all()
     assert (serial.virtual_minutes == parallel.virtual_minutes).all()
@@ -286,20 +293,20 @@ def test_persistent_metric_snapshots_match_serial(comet_machine):
 def test_sweep_worker_failure_keeps_partial_results(
     fresh_comet, monkeypatch
 ):
-    """Per-location dispatch (batching off): only the poisoned location
+    """Per-location dispatch (chunks of one): only the poisoned location
     is lost."""
-    clean = _sweep_report(fresh_comet, workers=1, batch_locations="off")
+    clean = _sweep_report(fresh_comet, workers=1, batch_locations=1)
     poisoned_row = clean.base_rows[2]
-    original = HammerSession.run_pattern
+    original = HammerSession.run_pattern_batch
 
-    def poisoned(self, pattern, base_row, *args, **kwargs):
-        if base_row == poisoned_row:
+    def poisoned(self, pattern, base_rows, *args, **kwargs):
+        if poisoned_row in [int(r) for r in base_rows]:
             raise RuntimeError("injected mid-batch failure")
-        return original(self, pattern, base_row, *args, **kwargs)
+        return original(self, pattern, base_rows, *args, **kwargs)
 
-    monkeypatch.setattr(HammerSession, "run_pattern", poisoned)
+    monkeypatch.setattr(HammerSession, "run_pattern_batch", poisoned)
     report = _sweep_report(
-        fresh_comet, workers=3, backend="persistent", batch_locations="off"
+        fresh_comet, workers=3, backend="persistent", batch_locations=1
     )
     assert report.base_rows == clean.base_rows
     assert report.flips_per_location[2] == 0
@@ -314,7 +321,7 @@ def test_sweep_chunk_failure_loses_only_that_chunk(
     fresh_comet, monkeypatch
 ):
     """Batched dispatch: a failing location costs its chunk, no more."""
-    clean = _sweep_report(fresh_comet, workers=1, batch_locations="off")
+    clean = _sweep_report(fresh_comet, workers=1, batch_locations=1)
     poisoned_row = clean.base_rows[2]
     original = HammerSession.run_pattern_batch
 

@@ -7,7 +7,7 @@ from repro.common.errors import SimulationError
 from repro.common.rng import RngStream
 from repro.dram.device import Dimm, DimmSpec
 from repro.dram.geometry import DramGeometry
-from repro.dram.mitigations import ScrambledMapping
+from repro.dram.mitigations import RandomizedRowSwap, ScrambledMapping
 from repro.dram.timing import AccessLatency
 from repro.dram.trr import TrrConfig
 from repro.mapping.presets import mapping_for
@@ -78,6 +78,38 @@ def test_execute_acts_validates_shapes():
     controller = make_controller()
     with pytest.raises(SimulationError):
         controller.execute_acts(np.array([1.0]), np.array([1, 2], dtype=np.uint64))
+
+
+_GEOMETRY = DramGeometry(ranks=2, banks=16, rows=1 << 16)
+_REMAPPERS = {
+    "identity": lambda: None,
+    "scramble": lambda: ScrambledMapping(geometry=_GEOMETRY, boot_key=77),
+    "row-swap": lambda: RandomizedRowSwap(
+        geometry=_GEOMETRY, rng=RngStream(5, "rrs"), swap_threshold=8
+    ),
+}
+
+
+@pytest.mark.parametrize("remapper", sorted(_REMAPPERS))
+@pytest.mark.parametrize(
+    "deltas",
+    ([0, -5000], [0, 65536], [-101, 0]),
+    ids=("second-below", "second-above", "first-below"),
+)
+def test_execute_acts_batch_rejects_off_device_locations(remapper, deltas):
+    """A location shifted off the device raises before any location runs.
+
+    Remappers must not see such rows: scrambling folds them back onto
+    the device and the row-swap table wraps negative ones.
+    """
+    controller = make_controller(remapper=_REMAPPERS[remapper]())
+    phys = np.array(
+        controller.mapping.addresses_in_bank(2, [100, 102] * 500),
+        dtype=np.uint64,
+    )
+    times = (np.arange(phys.size, dtype=np.float64) + 1) * 50.0
+    with pytest.raises(SimulationError, match="outside the device"):
+        controller.execute_acts_batch(times, phys, deltas)
 
 
 # ----------------------------------------------------------------------

@@ -124,6 +124,13 @@ def test_window_detail_adds_per_window_points(tmp_path):
     assert windows, "window detail must emit per-refresh-window points"
     sample = windows[0]["attrs"]
     assert {"bank", "window", "acts"} <= set(sample)
+    # The fuzzer hammers each pattern's rows in one batched call; under
+    # window detail every row still gets its own span around its points.
+    patterns = {
+        r["id"] for r in records
+        if r.get("ph") == "B" and r["name"] == "hammer.pattern"
+    }
+    assert all(w["parent"] in patterns for w in windows)
 
 
 def test_inspect_command(tmp_path, capsys):
