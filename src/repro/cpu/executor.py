@@ -35,6 +35,18 @@ from repro.obs import OBS
 DEFAULT_EXECUTE_CACHE = 64
 
 
+def stream_fingerprint(intended_ids: np.ndarray) -> bytes:
+    """The digest that names an intended id stream in the executor memo.
+
+    Memo keys (and the shared-memory memo export) are ``(fingerprint, n,
+    config)``.  Hashing a BENCH-scale stream costs a few milliseconds, so
+    callers that replay one stream many times compute this once and pass
+    it to :meth:`HammerExecutor.execute`.
+    """
+    ids = np.ascontiguousarray(intended_ids, dtype=np.int64)
+    return hashlib.blake2b(ids, digest_size=16).digest()
+
+
 @dataclass(frozen=True)
 class ExecutionResult:
     """Realised behaviour of one kernel run."""
@@ -89,8 +101,14 @@ class HammerExecutor:
         self,
         intended_ids: np.ndarray,
         config: HammerKernelConfig,
+        fingerprint: bytes | None = None,
     ) -> ExecutionResult:
-        """Run one kernel over the intended program-order access stream."""
+        """Run one kernel over the intended program-order access stream.
+
+        ``fingerprint`` is the stream's :func:`stream_fingerprint`, if the
+        caller already has it; the memo lookup hashes the stream only
+        when it is ``None``.
+        """
         ids = np.ascontiguousarray(intended_ids, dtype=np.int64)
         n = int(ids.size)
         if n == 0:
@@ -104,9 +122,8 @@ class HammerExecutor:
             )
         key = None
         if self.cache_size > 0:
-            fingerprint = hashlib.blake2b(
-                ids.tobytes(), digest_size=16
-            ).digest()
+            if fingerprint is None:
+                fingerprint = stream_fingerprint(ids)
             key = (fingerprint, n, config)
             cached = self._cache.get(key)
             if cached is not None:

@@ -99,31 +99,25 @@ def record_trace(
     activations: int,
     disturbance_gain: float = 1.0,
 ) -> ActivationTrace:
-    """Run the CPU-side pipeline once and capture the DRAM-side streams."""
-    from repro.hammer.multibank import interleave_stream, multibank_addresses
+    """Run the CPU-side pipeline once and capture the DRAM-side streams.
 
-    banks = list(range(config.num_banks))
-    est = machine.executor.throughput.iteration_cost(config, miss_rate=0.7)
-    window_ns = machine.dimm.timing.refresh_window
-    activations = max(activations, int(2.2 * window_ns / est.total_ns))
-    iterations = max(1, activations // (pattern.base_period * len(banks)))
-    flat_ids, flat_banks = interleave_stream(
-        pattern.intended_stream(iterations), len(banks)
-    )
-    combined = flat_ids.astype(np.int64) * len(banks) + flat_banks
-    execution = machine.executor.execute(combined, config)
+    The stream is the one :class:`~repro.hammer.session.HammerSession`
+    would hammer, split per bank as the memory controller splits it
+    (without any mitigation remapping).
+    """
+    from repro.hammer.multibank import multibank_addresses
+    from repro.hammer.session import HammerSession
 
+    combined, banks, fingerprint = HammerSession(
+        machine, config
+    ).prepare_stream(pattern, activations)
+    execution = machine.executor.execute(combined, config, fingerprint)
     addr_table = multibank_addresses(
         machine.mapping, pattern.aggressor_row_offsets(), base_row, banks
     )
-    phys = addr_table.reshape(-1)[execution.address_ids]
-    mapping = machine.mapping
-    bank_of = mapping.bank_of_many(phys).astype(np.int64)
-    row_of = mapping.row_of_many(phys).astype(np.int64)
-    streams: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for bank in np.unique(bank_of).tolist():
-        mask = bank_of == bank
-        streams[int(bank)] = (execution.times_ns[mask], row_of[mask])
+    streams = machine.controller.bank_streams(
+        execution.times_ns, addr_table.reshape(-1)[execution.address_ids]
+    )
     return ActivationTrace(
         bank_streams=streams,
         disturbance_gain=disturbance_gain,

@@ -18,6 +18,7 @@ from functools import partial
 
 import numpy as np
 
+from repro.cpu.executor import stream_fingerprint
 from repro.cpu.isa import HammerKernelConfig
 from repro.dram.cells import FlipEvent
 from repro.dram.device import HammerResult
@@ -74,9 +75,11 @@ class HammerSession:
     #: id stream depends only on (pattern layout, iterations, banks) — not
     #: on the base row — so sweep/fuzz trials that replay one pattern at
     #: many locations reuse it instead of re-tiling and re-interleaving.
-    #: Bounded LRU of :data:`STREAM_CACHE_SIZE` entries; sessions spawned
-    #: from one :class:`~repro.engine.budget.ExperimentSpec` share one
-    #: instance so a parent-side prewarm also warms forked workers.
+    #: Each entry also holds the stream's executor-memo fingerprint,
+    #: computed once when the stream is built.  Bounded LRU of
+    #: :data:`STREAM_CACHE_SIZE` entries; sessions spawned from one
+    #: :class:`~repro.engine.budget.ExperimentSpec` share one instance
+    #: so a parent-side prewarm also warms forked workers.
     _stream_cache: OrderedDict = field(
         default_factory=OrderedDict, repr=False
     )
@@ -104,13 +107,16 @@ class HammerSession:
         pattern: NonUniformPattern,
         activations: int,
         banks: tuple[int, ...] | None = None,
-    ) -> tuple[np.ndarray, list[int]]:
+    ) -> tuple[np.ndarray, list[int], bytes]:
         """Expand a pattern into its combined intended id stream (memoised).
 
-        Returns ``(combined_ids, target_banks)``.  The stream is
-        independent of the base row, so every trial of the same (pattern,
-        activation budget, banks) triple shares one read-only array — and,
-        downstream, one memoised :meth:`HammerExecutor.execute` result.
+        Returns ``(combined_ids, target_banks, fingerprint)``.  The stream
+        is independent of the base row, so every trial of the same
+        (pattern, activation budget, banks) triple shares one read-only
+        array — and, downstream, one memoised
+        :meth:`HammerExecutor.execute` result, looked up by
+        ``fingerprint`` (:func:`~repro.cpu.executor.stream_fingerprint`
+        of the stream) without re-hashing it.
         """
         target_banks = list(banks if banks is not None else self.default_banks)
         est_cost = self.machine.executor.throughput.iteration_cost(
@@ -128,12 +134,12 @@ class HammerSession:
             n_banks,
         )
         cache = self._stream_cache
-        combined = cache.get(key)
-        if combined is not None:
+        entry = cache.get(key)
+        if entry is not None:
             cache.move_to_end(key)
             if OBS.enabled:
                 OBS.metrics.counter("hammer.stream_cache.hits").inc()
-            return combined, target_banks
+            return entry[0], target_banks, entry[1]
         slot_ids = pattern.intended_stream(iterations)
         flat_ids, flat_banks = interleave_stream(slot_ids, n_banks)
         # Combined id: aggressor id x bank lane, so the executor's
@@ -141,12 +147,13 @@ class HammerSession:
         # cache line.
         combined = flat_ids.astype(np.int64) * n_banks + flat_banks
         combined.setflags(write=False)
-        cache[key] = combined
+        fingerprint = stream_fingerprint(combined)
+        cache[key] = (combined, fingerprint)
         if len(cache) > STREAM_CACHE_SIZE:
             cache.popitem(last=False)
             if OBS.enabled:
                 OBS.metrics.counter("hammer.stream_cache.evictions").inc()
-        return combined, target_banks
+        return combined, target_banks, fingerprint
 
     # ------------------------------------------------------------------
     def run_pattern_batch(
@@ -220,11 +227,13 @@ class HammerSession:
         executor = self.machine.executor
         execution = None
         for _ in rows:
-            combined, target_banks = self.prepare_stream(
+            combined, target_banks, fingerprint = self.prepare_stream(
                 pattern, activations, banks
             )
             if execution is None or executor.cache_size > 0:
-                execution = executor.execute(combined, self.config)
+                execution = executor.execute(
+                    combined, self.config, fingerprint
+                )
         # Address index = aggressor id * n_banks + bank lane.
         addresses = multibank_addresses(
             self.machine.mapping,

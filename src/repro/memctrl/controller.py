@@ -64,7 +64,7 @@ class MemoryController:
         remapping before the device sees it.
         """
         return self.dimm.hammer(
-            self._shift_remap(self._bank_streams(times, phys_addrs), 0),
+            self._shift_remap(self.bank_streams(times, phys_addrs), 0),
             collect_events=collect_events,
             disturbance_gain=disturbance_gain,
         )
@@ -94,7 +94,7 @@ class MemoryController:
         before any location runs and before any remapping: a remapper
         can fold an off-device row back onto the device.
         """
-        streams = self._bank_streams(times, phys_addrs)
+        streams = self.bank_streams(times, phys_addrs)
         deltas = np.ascontiguousarray(np.asarray(row_deltas, dtype=np.int64))
         if not deltas.size:
             return []
@@ -115,10 +115,14 @@ class MemoryController:
             for delta in deltas.tolist()
         ]
 
-    def _bank_streams(
+    def bank_streams(
         self, times: np.ndarray, phys_addrs: np.ndarray
     ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """Split an arrival-order stream into per-bank (times, rows)."""
+        """Split an arrival-order stream into per-bank (times, rows).
+
+        No row remapping is applied; this is what the device would see
+        without a mitigation remapper.
+        """
         if times.shape != phys_addrs.shape:
             raise SimulationError("times and addresses must align")
         addrs = phys_addrs.astype(np.uint64, copy=False)

@@ -68,12 +68,14 @@ def sweep_pattern(
     config: HammerKernelConfig,
     pattern: NonUniformPattern,
     budget: RunBudget,
-    scale: SimulationScale = None,
+    scale: SimulationScale,
     seed_name: str = "sweep",
 ) -> SweepReport:
     """Apply one pattern at budgeted non-repeating base rows.
 
-    ``budget`` is a :class:`RunBudget` whose trials are sweep locations.
+    ``budget`` is a :class:`RunBudget` whose trials are sweep locations;
+    ``scale`` sets each location's activation budget and the Figure 11
+    time axis.
     """
     if not isinstance(budget, RunBudget):
         raise TypeError("sweep_pattern needs a RunBudget")
@@ -95,11 +97,12 @@ def sweep_pattern(
     # The intended access stream is base-row independent, so all
     # locations replay one (stream, kernel) pair through the executor.
     # Running it once in the parent fills the shared executor's memo and
-    # the spec's shared stream memo before the pool forks: serial sweeps
-    # and every forked worker alike then see pure cache hits, which also
-    # keeps the cache-hit/-miss telemetry identical across worker counts.
-    combined, _ = spec.session().prepare_stream(pattern, acts)
-    machine.executor.execute(combined, config)
+    # the spec's shared stream memo (stream and fingerprint) before the
+    # pool forks: serial sweeps and every forked worker alike then see
+    # pure cache hits and never hash the stream, which also keeps the
+    # cache-hit/-miss telemetry identical across worker counts.
+    combined, _, fingerprint = spec.session().prepare_stream(pattern, acts)
+    machine.executor.execute(combined, config, fingerprint)
 
     # Locations are dispatched to the pool in chunks; each chunk hammers
     # all its locations in one vectorised multi-location pass

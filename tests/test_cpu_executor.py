@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.common.rng import RngStream
-from repro.cpu.executor import HammerExecutor
+from repro.cpu import executor as executor_module
+from repro.cpu.executor import HammerExecutor, stream_fingerprint
 from repro.cpu.isa import HammerKernelConfig, baseline_load_config, rhohammer_config
 from repro.cpu.platform import platform_by_name
 
@@ -122,6 +123,41 @@ def test_execute_memo_hits_on_repeat():
     # A copy of the stream (different object, same bytes) also hits.
     ex.execute(stream().copy(), config)
     assert ex.cache_hits == 2
+
+
+def test_supplied_fingerprint_matches_hashing(monkeypatch):
+    """A supplied fingerprint gives the same cached result and the same
+    hit/miss counters as hashing in ``execute``, and is never recomputed."""
+    config = rhohammer_config(nop_count=40)
+    fingerprint = stream_fingerprint(stream())
+    hashed_streams = []
+    real = executor_module.stream_fingerprint
+
+    def counting(ids):
+        hashed_streams.append(ids.size)
+        return real(ids)
+
+    monkeypatch.setattr(executor_module, "stream_fingerprint", counting)
+
+    def run(*supplied):
+        ex = HammerExecutor(platform_by_name("raptor_lake"), rng=RngStream(7))
+        results = [ex.execute(stream(), config, *supplied) for _ in range(3)]
+        assert all(result is results[0] for result in results)
+        return ex, results[0]
+
+    hashed_ex, hashed = run()
+    assert len(hashed_streams) == 3
+    supplied_ex, supplied = run(fingerprint)
+    assert len(hashed_streams) == 3
+    assert np.array_equal(hashed.times_ns, supplied.times_ns)
+    assert np.array_equal(hashed.address_ids, supplied.address_ids)
+    assert hashed.miss_rate == supplied.miss_rate
+    assert hashed.duration_ns == supplied.duration_ns
+    assert (hashed_ex.cache_hits, hashed_ex.cache_misses) == (2, 1)
+    assert (supplied_ex.cache_hits, supplied_ex.cache_misses) == (2, 1)
+    # Both forms name the same memo entry.
+    assert hashed_ex.execute(stream(), config, fingerprint) is hashed
+    assert supplied_ex.execute(stream(), config) is supplied
 
 
 def test_execute_memo_distinguishes_stream_and_config():

@@ -22,9 +22,11 @@ from repro import (
     sweep_pattern,
 )
 from repro.common.errors import ReproError
+from repro.cpu import executor as executor_module
 from repro.dram.mitigations import ScrambledMapping
 from repro.engine import ExperimentSpec, PersistentPoolBackend
 from repro.exploit.endtoend import canonical_compact_pattern, find_compact_pattern
+from repro.hammer import session as session_module
 from repro.hammer.barriers import compare_barriers
 from repro.hammer.nops import tune_nop_count
 from repro.hammer.session import HammerSession
@@ -127,6 +129,37 @@ def test_run_pattern_batch_metrics_match_serial_loop_without_memo():
     batched = run(lambda s: s.run_pattern_batch(pattern, rows, activations=acts))
     assert batched == serial
     assert serial[1]["counters"]["hammer.stream_cache.hits"] == 2
+
+
+def test_run_pattern_batch_fingerprints_each_new_stream_once(monkeypatch):
+    """The stream memo fingerprints each expanded stream once and hands
+    the fingerprint to every executor lookup: a cold batch hashes its new
+    stream once, a warm batch hashes nothing, whatever its row count."""
+    hashed = []
+    real = executor_module.stream_fingerprint
+
+    def counting(ids):
+        hashed.append(ids.size)
+        return real(ids)
+
+    monkeypatch.setattr(executor_module, "stream_fingerprint", counting)
+    monkeypatch.setattr(session_module, "stream_fingerprint", counting)
+    pattern = canonical_compact_pattern()
+    acts = QUICK_SCALE.acts_per_pattern
+    rows = BASE_ROWS[:4]
+    session = _session(_machine())
+    executor = session.machine.executor
+
+    session.run_pattern_batch(pattern, rows, activations=acts)
+    assert len(hashed) == 1
+    assert (executor.cache_hits, executor.cache_misses) == (3, 1)
+    session.run_pattern_batch(pattern, rows, activations=acts)
+    assert len(hashed) == 1
+    assert (executor.cache_hits, executor.cache_misses) == (7, 1)
+    # Twice the budget expands to a longer, new stream: one more digest.
+    session.run_pattern_batch(pattern, rows[:2], activations=2 * acts)
+    assert len(hashed) == 2 and hashed[1] > hashed[0]
+    assert (executor.cache_hits, executor.cache_misses) == (8, 2)
 
 
 def test_run_pattern_batch_trivial_inputs():

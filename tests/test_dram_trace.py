@@ -8,18 +8,23 @@ from repro.dram.device import Dimm
 from repro.dram.trace import ActivationTrace, record_trace, replay_trace
 from repro.dram.trr import TrrConfig
 from repro.exploit.endtoend import canonical_compact_pattern
+from repro.hammer.session import HammerSession
 
 
-@pytest.fixture(scope="module")
-def trace(comet_machine):
+def _record(machine):
     return record_trace(
-        comet_machine,
+        machine,
         rhohammer_config(nop_count=60, num_banks=3),
         canonical_compact_pattern(),
         base_row=6000,
         activations=QUICK_SCALE.acts_per_pattern,
         disturbance_gain=QUICK_SCALE.disturbance_gain,
     )
+
+
+@pytest.fixture(scope="module")
+def trace(comet_machine):
+    return _record(comet_machine)
 
 
 def test_trace_covers_the_target_banks(trace):
@@ -35,15 +40,21 @@ def test_trace_rows_are_pattern_rows(trace):
     assert offsets == expected
 
 
+def _assert_same_flips(a, b):
+    """Equal flip counts, executed ACTs and flip events (order-free)."""
+    def key(event):
+        return (event.bank, event.row, event.bit_index, event.direction)
+
+    assert a.flip_count == b.flip_count
+    assert a.acts_executed == b.acts_executed
+    assert sorted(a.flips, key=key) == sorted(b.flips, key=key)
+
+
 def test_replay_reproduces_the_original_flips(trace, comet_machine):
-    direct = replay_trace(trace, comet_machine.dimm)
-    again = replay_trace(trace, comet_machine.dimm)
+    direct = replay_trace(trace, comet_machine.dimm, collect_events=True)
+    again = replay_trace(trace, comet_machine.dimm, collect_events=True)
     assert direct.flip_count > 0
-    # Same trace, same DIMM: deterministic cell population, near-identical
-    # counts (the sampler draws fresh noise per replay).
-    assert abs(direct.flip_count - again.flip_count) <= max(
-        3, direct.flip_count // 5
-    )
+    _assert_same_flips(direct, again)
 
 
 def test_replay_against_stronger_trr(trace, comet_machine):
@@ -85,22 +96,31 @@ def test_load_rejects_empty_archive(tmp_path):
         ActivationTrace.load(path)
 
 
-def test_replayed_flips_match_live_session(comet_machine, trace):
-    """Trace replay and the live session produce comparable flip counts
-    for the same kernel/pattern/location."""
-    from repro.hammer.session import HammerSession
-
+def _live(machine):
     session = HammerSession(
-        machine=comet_machine,
+        machine=machine,
         config=rhohammer_config(nop_count=60, num_banks=3),
         disturbance_gain=QUICK_SCALE.disturbance_gain,
     )
-    live = session.run_pattern(
+    return session.run_pattern(
         canonical_compact_pattern(), 6000,
         activations=QUICK_SCALE.acts_per_pattern,
+        collect_events=True,
     )
-    replayed = replay_trace(trace, comet_machine.dimm)
+
+
+def test_replayed_flips_match_live_session(comet_machine, trace):
+    """Trace replay and the live session produce the same flips for the
+    same kernel/pattern/location."""
+    replayed = replay_trace(trace, comet_machine.dimm, collect_events=True)
     assert replayed.flip_count > 0
-    assert abs(live.flip_count - replayed.flip_count) <= max(
-        5, live.flip_count // 3
+    _assert_same_flips(_live(comet_machine), replayed)
+
+
+def test_replayed_flips_match_live_session_on_raptor_lake(raptor_machine):
+    """The same under the Alder/Raptor address mapping."""
+    replayed = replay_trace(
+        _record(raptor_machine), raptor_machine.dimm, collect_events=True
     )
+    assert replayed.flip_count > 0
+    _assert_same_flips(_live(raptor_machine), replayed)

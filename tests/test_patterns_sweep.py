@@ -24,6 +24,18 @@ def comet_sweep(comet_machine):
     )
 
 
+def test_sweep_needs_a_scale(comet_machine):
+    """``scale`` sets each location's activation budget; it has no
+    default, so omitting it fails at the call."""
+    with pytest.raises(TypeError, match="scale"):
+        sweep_pattern(
+            comet_machine,
+            rhohammer_config(nop_count=60, num_banks=3),
+            canonical_compact_pattern(),
+            RunBudget.trials(2),
+        )
+
+
 def test_sweep_visits_distinct_locations(comet_sweep):
     assert len(set(comet_sweep.base_rows)) == 12
 
