@@ -56,6 +56,10 @@ class CellPopulation:
     Profiles are deterministic functions of (dimm_uid, bank, row), so the
     cache is purely an optimisation; it is LRU-bounded at
     ``max_cached_profiles`` so large sweeps cannot grow it without limit.
+    A row's thresholds are the first draws of its seeded generator, so
+    flip counting caches only them; the bit offsets and directions that
+    follow are drawn when a full :meth:`profile` is asked for (flip
+    events), which replaces the entry in place.
     ``profiles_cached`` / ``profile_evictions`` make the cache behaviour
     observable.  They are not exported as OBS metrics: both describe one
     process's cache, so under a worker pool they follow which worker ran
@@ -82,7 +86,10 @@ class CellPopulation:
         self.threshold_sigma = threshold_sigma
         self.max_cached_profiles = max_cached_profiles
         self.profile_evictions = 0
-        self._cache: OrderedDict[tuple[int, int], CellProfile] = OrderedDict()
+        #: A row's full profile, or only its sorted thresholds.
+        self._cache: OrderedDict[
+            tuple[int, int], CellProfile | np.ndarray
+        ] = OrderedDict()
 
     @property
     def profiles_cached(self) -> int:
@@ -91,44 +98,67 @@ class CellPopulation:
     def profile(self, bank: int, row: int) -> CellProfile:
         """Weak-cell profile of one row (deterministic, LRU-cached)."""
         key = (bank, row)
+        entry = self._cache.get(key)
+        if entry is None:
+            return self._insert(key, self._draw(bank, row, full=True))
+        self._cache.move_to_end(key)
+        if isinstance(entry, np.ndarray):
+            entry = self._cache[key] = self._draw(bank, row, full=True)
+        return entry
+
+    def _thresholds(self, bank: int, row: int) -> np.ndarray:
+        """A row's sorted thresholds, drawing nothing else."""
+        key = (bank, row)
+        entry = self._cache.get(key)
+        if entry is None:
+            return self._insert(key, self._draw(bank, row, full=False))
+        self._cache.move_to_end(key)
+        return entry if isinstance(entry, np.ndarray) else entry.thresholds
+
+    def _insert(self, key: tuple[int, int], entry):
         cache = self._cache
-        cached = cache.get(key)
-        if cached is not None:
-            cache.move_to_end(key)
-            return cached
-        profile = self._materialise(bank, row)
-        cache[key] = profile
+        cache[key] = entry
         if len(cache) > self.max_cached_profiles:
             cache.popitem(last=False)
             self.profile_evictions += 1
-        return profile
+        return entry
 
-    def _materialise(self, bank: int, row: int) -> CellProfile:
+    def _draw(self, bank: int, row: int, full: bool):
+        """A row's profile, or (``full`` false) only its thresholds.
+
+        The thresholds are drawn first, so stopping after them leaves
+        every value they hold unchanged.
+        """
         seed = derive_seed(0xD1A7, self.dimm_uid, bank, row)
         rng = np.random.default_rng(seed)
         n_weak = rng.binomial(_CANDIDATE_CELLS_PER_ROW, self.weak_cell_density)
         if n_weak == 0:
-            empty_f = np.empty(0, dtype=np.float64)
+            thresholds = np.empty(0, dtype=np.float64)
+            if not full:
+                return thresholds
             empty_i = np.empty(0, dtype=np.int64)
-            return CellProfile(empty_f, empty_i, empty_i.astype(np.int8))
+            return CellProfile(thresholds, empty_i, empty_i.astype(np.int8))
         mu = np.log(self.median_threshold)
-        thresholds = np.sort(rng.lognormal(mu, self.threshold_sigma, n_weak))
+        thresholds = rng.lognormal(mu, self.threshold_sigma, n_weak)
+        thresholds.sort()
+        if not full:
+            return thresholds
         bit_indices = rng.choice(65536, size=n_weak, replace=False).astype(np.int64)
         directions = (rng.random(n_weak) < 0.5).astype(np.int8)
         return CellProfile(thresholds, bit_indices, directions)
 
-    # -- profile export/adoption (persistent-pool shared memory) -------
+    # -- threshold export/adoption (persistent-pool shared memory) -----
     def export_profiles(
         self, limit: int | None = None
-    ) -> tuple[
-        list[tuple[int, int, int, int]], np.ndarray, np.ndarray, np.ndarray
-    ] | None:
-        """Cached profiles flattened for shared-memory shipping.
+    ) -> tuple[list[tuple[int, int, int, int]], np.ndarray] | None:
+        """Cached thresholds flattened for shared-memory shipping.
 
-        Returns ``(index, thresholds, bit_indices, directions)`` where
-        ``index`` lists ``(bank, row, start, size)`` slices into the
-        concatenated arrays, or ``None`` when nothing is cached.  With
-        ``limit`` set, only the most recently used profiles are exported.
+        Returns ``(index, thresholds)`` where ``index`` lists ``(bank,
+        row, start, size)`` slices into the concatenated thresholds, or
+        ``None`` when nothing is cached.  With ``limit`` set, only the
+        most recently used rows are exported.  Bit offsets and
+        directions are not shipped: flip counting never reads them, and
+        :meth:`profile` draws them on demand.
         """
         items = list(self._cache.items())
         if limit is not None and len(items) > limit:
@@ -136,42 +166,32 @@ class CellPopulation:
         if not items:
             return None
         index: list[tuple[int, int, int, int]] = []
+        arrays: list[np.ndarray] = []
         start = 0
-        for (bank, row), prof in items:
-            size = int(prof.thresholds.size)
-            index.append((bank, row, start, size))
-            start += size
-        if start == 0:
-            thresholds = np.empty(0, dtype=np.float64)
-            bits = np.empty(0, dtype=np.int64)
-            dirs = np.empty(0, dtype=np.int8)
-        else:
-            thresholds = np.concatenate(
-                [p.thresholds for _, p in items if p.thresholds.size]
+        for (bank, row), entry in items:
+            thresholds = (
+                entry if isinstance(entry, np.ndarray) else entry.thresholds
             )
-            bits = np.concatenate(
-                [p.bit_indices for _, p in items if p.bit_indices.size]
-            )
-            dirs = np.concatenate(
-                [p.directions for _, p in items if p.directions.size]
-            )
-        return index, thresholds, bits, dirs
+            index.append((bank, row, start, int(thresholds.size)))
+            arrays.append(thresholds)
+            start += int(thresholds.size)
+        return index, np.concatenate(arrays)
 
     def seed_profiles(
         self,
         index: list[tuple[int, int, int, int]],
         thresholds: np.ndarray,
-        bit_indices: np.ndarray,
-        directions: np.ndarray,
     ) -> int:
         """Pre-populate the cache from an :meth:`export_profiles` payload.
 
         Profiles are deterministic functions of their location, so a
-        seeded entry is bit-identical to one the worker would have
-        materialised itself — adoption is purely an optimisation.  Slices
-        of read-only shared arrays stay read-only.  Existing entries win,
-        the LRU bound is respected (seeding never evicts), and no metrics
-        are emitted so parallel snapshots match serial ones.
+        seeded entry holds exactly the thresholds the worker would have
+        drawn itself — adoption is purely an optimisation, and
+        :meth:`profile` completes a seeded entry as it completes any
+        other.  Slices of read-only shared arrays stay read-only.
+        Existing entries win, the LRU bound is respected (seeding never
+        evicts), and no metrics are emitted so parallel snapshots match
+        serial ones.
         """
         added = 0
         for bank, row, start, size in index:
@@ -180,11 +200,7 @@ class CellPopulation:
                 continue
             if len(self._cache) >= self.max_cached_profiles:
                 break
-            self._cache[key] = CellProfile(
-                thresholds[start:start + size],
-                bit_indices[start:start + size],
-                directions[start:start + size],
-            )
+            self._cache[key] = thresholds[start:start + size]
             added += 1
         return added
 
@@ -208,8 +224,8 @@ class CellPopulation:
         """Number of flips without materialising the events."""
         if peak_disturbance <= 0:
             return 0
-        prof = self.profile(bank, row)
-        return int(np.searchsorted(prof.thresholds, peak_disturbance, side="right"))
+        thresholds = self._thresholds(bank, row)
+        return int(np.searchsorted(thresholds, peak_disturbance, side="right"))
 
     def flip_counts_for(
         self, bank: int, rows: np.ndarray, peaks: np.ndarray
@@ -217,11 +233,12 @@ class CellPopulation:
         """Flip counts for many victims of one bank, in one vectorised pass.
 
         Equivalent to ``[flip_count_for(bank, r, p) for r, p in ...]``:
-        per-row profiles are materialised (and LRU-cached) in bulk, their
-        threshold arrays concatenated, and every victim's count read off a
-        single prefix-sum of ``threshold <= peak`` — which equals the
-        per-row ``searchsorted(..., side="right")`` since thresholds are
-        sorted.  This is the device hot path's flip accounting.
+        per-row thresholds are materialised (and LRU-cached) in bulk,
+        concatenated, and every victim's count read off a single
+        prefix-sum of ``threshold <= peak`` — which equals the per-row
+        ``searchsorted(..., side="right")`` since thresholds are sorted.
+        This is the device hot path's flip accounting; it draws no bit
+        offsets or directions.
         """
         rows = np.asarray(rows, dtype=np.int64)
         peaks = np.asarray(peaks, dtype=np.float64)
@@ -229,13 +246,11 @@ class CellPopulation:
         active = np.nonzero(peaks > 0.0)[0]
         if active.size == 0:
             return counts
-        profiles = [self.profile(bank, int(rows[i])) for i in active.tolist()]
-        sizes = np.array([p.thresholds.size for p in profiles], dtype=np.int64)
+        thresholds = [self._thresholds(bank, row) for row in rows[active].tolist()]
+        sizes = np.array([t.size for t in thresholds], dtype=np.int64)
         if not sizes.any():
             return counts
-        flat = np.concatenate(
-            [p.thresholds for p in profiles if p.thresholds.size]
-        )
+        flat = np.concatenate([t for t in thresholds if t.size])
         hits = np.zeros(flat.size + 1, dtype=np.int64)
         np.cumsum(flat <= np.repeat(peaks[active], sizes), out=hits[1:])
         ends = np.cumsum(sizes)

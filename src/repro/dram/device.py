@@ -14,14 +14,14 @@ refresh interval (tREFI) at a time:
 
 This is the simulated gate every fuzz/sweep/exploit trial funnels through,
 so the inner loop is array code.  Per-bank state lives in NumPy arrays
-over the compact victim window (:class:`_BankWindow`).  Everything but the
-disturbance recurrence is decided before the loop by an
-:class:`_IntervalPlan`: per-interval ACT histograms and scaled neighbour
-contributions, TRR sampler REF targets (:meth:`TrrSampler.plan
-<repro.dram.trr.TrrSampler.plan>`), pTRR and RAA targets and the periodic
-refresh ranges, merged into one zero-index per interval.  The loop then
-runs four ordered slice adds, a masked peak update and one zeroing store
-per interval, and flips are counted in one vectorised pass
+over the compact victim window (:class:`_BankWindow`).  Every TRR sampler
+REF target (:meth:`TrrSampler.plan <repro.dram.trr.TrrSampler.plan>`),
+pTRR and RAA target is decided before the loop by a :class:`_BankPlan`,
+in window coordinates, where it holds for every row shift of the stream;
+each call then scales the plan's ACT histograms into deposits and adds
+its locations' periodic-refresh ranges.  The loop runs four ordered slice
+adds, a masked peak update and the interval's zeroing stores, and flips
+are counted in one vectorised pass
 (:meth:`~repro.dram.cells.CellPopulation.flip_counts_for`).  The original
 per-row sequential loop survives in :mod:`repro.dram.reference` and
 :mod:`repro.dram.equivalence` proves the two paths bit-identical (flips,
@@ -37,8 +37,8 @@ Vectorisation invariants the array code relies on (documented in
   (a = v-2, v-1, v+1, v+2), which the ordered slice adds reproduce so
   float accumulation order matches the reference exactly;
 * refreshes only zero disturbance (idempotent) and all of an interval's
-  refreshes follow its deposit, so merging its TRR / pTRR / RFM target
-  and periodic refreshes into one store cannot change the final state;
+  refreshes follow its deposit, so the order of its TRR / pTRR / RFM
+  target and periodic refreshes cannot change the final state;
 * every TRR/pTRR/RFM/refresh decision depends only on the stream and
   name-derived RNG streams, never on disturbance, so all of them can be
   made before the disturbance loop runs;
@@ -51,7 +51,9 @@ Vectorisation invariants the array code relies on (documented in
 Every call, for one location or many, runs one driver
 (:meth:`Dimm._hammer_locations`): each bank's stream is planned and
 played once for all locations, then flips and telemetry are emitted
-location by location.  :meth:`Dimm.hammer` is its one-location case.
+location by location.  :meth:`Dimm.hammer` is its one-location case.  A
+caller that replays one stream across calls hands each of them the same
+:class:`StreamPlan`, and the stream is planned once for all of them.
 """
 
 from __future__ import annotations
@@ -151,35 +153,46 @@ _NO_SHIFT = np.zeros(1, dtype=np.int64)
 _NO_SHIFT.setflags(write=False)
 
 
-@dataclass
-class _PlanBlock:
-    """The planned work of consecutive refresh intervals of one bank."""
+class StreamPlan:
+    """The shift-invariant plan of one activation stream, bank by bank.
 
-    first: int  # stream index of the block's first interval
-    acts: list[int]  # ACTs per interval
-    #: Per :data:`_SLICE_ADDS` entry an ``(intervals, span - distance)``
-    #: array: row ``t`` is what interval ``t``'s slice add deposits.
-    deposits: list[np.ndarray]
-    #: Flat state indices (``location * span + column``) to zero, grouped
-    #: by interval: ``zero[zero_bounds[t]:zero_bounds[t + 1]]``.
-    zero: np.ndarray
-    zero_bounds: list[int]
+    Hand one instance to every :meth:`Dimm.hammer` or
+    :meth:`Dimm.hammer_batch` call that replays the same stream: the first
+    call fills it and later calls reuse it instead of planning again.
+    Every such call must play the same per-bank streams up to a uniform
+    row shift; its gain, row shifts and event collection may differ.  A
+    bank planned while telemetry was off is planned again the first time
+    a call needs its sampler tallies.
+    """
+
+    __slots__ = ("banks",)
+
+    def __init__(self) -> None:
+        self.banks: dict[int, _BankPlan] = {}
 
 
-class _IntervalPlan:
+class _BankPlan:
     """Every decision of one bank stream's interval loop, made up front.
 
-    TRR sampling and REF ranking, pTRR draws, RAA trips and the periodic
-    refresh slots depend only on the ACT stream and name-derived RNG
-    streams, never on disturbance, so :meth:`blocks` computes them for a
-    block of intervals at a time and :meth:`_BankWindow.run` is left with
-    the sequential disturbance recurrence.  Each interval's deposit is
-    precomputed as ``(weight * acts) * gain``, element for element the
-    value the slice adds used to compute in the loop, and its refreshes
-    are merged into one zero-index: they all follow the deposit and
-    zeroing is idempotent.  Window coordinates are shared by every
-    location (the stream is shifted uniformly); only the periodic-refresh
-    ranges differ, so they are planned per location from ``los``.
+    TRR sampling and REF ranking, pTRR draws and RAA trips depend only on
+    the ACT stream and name-derived RNG streams, never on disturbance, so
+    they are all made before :meth:`_BankWindow.run` plays the sequential
+    disturbance recurrence.  Everything here is in window coordinates
+    (column ``c`` is device row ``lo + c``, with ``lo`` two rows below the
+    stream's lowest row), where it is invariant under a uniform row shift
+    and independent of the gain: one plan serves every location of a call
+    and every later replay of the stream (:class:`StreamPlan`).  It holds
+    O(ACTs) values, per block of intervals (at most
+    :data:`PLAN_BLOCK_CELLS` window cells and :data:`PLAN_BLOCK_ACTS`
+    ACTs, at least one interval):
+
+    * the block's ACT histogram, as its non-zero ``interval * span +
+      column`` cells and their counts;
+    * per interval, the window columns whose disturbance its REF, pTRR
+      and RFM refreshes reset (all follow the deposit, and zeroing is
+      idempotent, so their order does not matter);
+    * per interval, its ACTs and TRR REF targets, and the stream's
+      refresh count and sampler tallies, for telemetry.
     """
 
     def __init__(
@@ -190,64 +203,49 @@ class _IntervalPlan:
         rows: np.ndarray,
         lo: int,
         span: int,
-        los: np.ndarray,
-        gain: float,
-        metrics,
-        trace_windows: bool,
+        telemetry: bool,
     ) -> None:
         timing = dimm.timing
-        self.bank = bank
-        self.rows = rows
-        self.lo = lo
         self.span = span
-        self.los = los
-        self.gain = gain
-        self.trace_windows = trace_windows
-        self.sampler = TrrSampler(dimm.trr_config, dimm.rng.child("trr", bank))
-        self.sampler.metrics = metrics
-        self.ptrr = dimm.ptrr
-        self.ptrr_rng = dimm.rng.child("ptrr", bank)
-        self.raa: RaaCounter | None = None
-        if dimm.rfm is not None:
-            self.raa = RaaCounter(
-                threshold=dimm._rfm_threshold
-                or dimm.rfm.raa_initial_threshold,
-                rows_refreshed_per_rfm=dimm.rfm.rows_refreshed_per_rfm,
-            )
+        self.n_acts = int(rows.size)
         self.t_refi = timing.t_refi
         self.refs_per_window = timing.refs_per_window
         self.rows_per_ref = max(
             1, dimm.spec.geometry.rows // self.refs_per_window
         )
-        self.n_intervals = int(times[-1] // self.t_refi) + 1
-        self.bounds = np.zeros(self.n_intervals + 1, dtype=np.int64)
-        self.bounds[1:] = np.searchsorted(
-            times, np.arange(1, self.n_intervals + 1) * self.t_refi
+        n = int(times[-1] // self.t_refi) + 1
+        bounds = np.zeros(n + 1, dtype=np.int64)
+        bounds[1:] = np.searchsorted(
+            times, np.arange(1, n + 1) * self.t_refi
         )
+        self.acts: list[int] = np.diff(bounds).tolist()
+        sampler = TrrSampler(dimm.trr_config, dimm.rng.child("trr", bank))
+        # Any non-None batch makes the sampler tally its telemetry; this
+        # one is never flushed: each location replays the tallies.
+        sampler.metrics = OBS.metrics.batch() if telemetry else None
+        ptrr_rng = dimm.rng.child("ptrr", bank)
+        raa: RaaCounter | None = None
+        if dimm.rfm is not None:
+            raa = RaaCounter(
+                threshold=dimm._rfm_threshold
+                or dimm.rfm.raa_initial_threshold,
+                rows_refreshed_per_rfm=dimm.rfm.rows_refreshed_per_rfm,
+            )
         self.trr_refreshes = 0
-        # Block buffers, reused by every block: a fresh bank-wide array
-        # per interval would be handed back to the OS and faulted in
-        # again each time.  The histogram is kept all-zero between blocks.
-        self.per_block = max(1, PLAN_BLOCK_CELLS // span)
-        cells = min(self.per_block, self.n_intervals) * span
-        self._hist = np.zeros(cells, dtype=np.int64)
-        self._scaled = {
-            distance: np.empty(cells, dtype=np.float64)
-            for distance in NEIGHBOUR_WEIGHTS
-        }
-
-    def blocks(self):
-        """Yield the plan one :class:`_PlanBlock` at a time.
-
-        A block holds at most :data:`PLAN_BLOCK_CELLS` window cells and
-        :data:`PLAN_BLOCK_ACTS` ACTs (at least one interval), so plan
-        memory does not grow with stream length.  A block's deposits live
-        in buffers the next block overwrites: consume each block before
-        asking for the next.
-        """
-        bounds = self.bounds
-        n = self.n_intervals
-        per_block = self.per_block
+        self.ref_counts: list[int] = []
+        #: ``(first interval, end interval, first cell, end cell)``.
+        self.blocks: list[tuple[int, int, int, int]] = []
+        cells: list[np.ndarray] = []
+        counts: list[np.ndarray] = []
+        # Aggressors whose neighbours are refreshed, by interval.
+        agg_interval: list[np.ndarray] = []
+        agg_col: list[np.ndarray] = []
+        # Reused by every block, all-zero between blocks: a fresh
+        # bank-wide array per interval would be handed back to the OS
+        # and faulted in again each time.
+        per_block = max(1, PLAN_BLOCK_CELLS // span)
+        hist = np.zeros(min(per_block, n) * span, dtype=np.int64)
+        n_cells = 0
         first = 0
         while first < n:
             end = min(n, first + per_block)
@@ -257,127 +255,72 @@ class _IntervalPlan:
                     first + 1,
                     int(np.searchsorted(bounds, cap, side="right")) - 1,
                 )
-            yield self._block(first, end)
+            block_bounds = bounds[first:end + 1] - bounds[first]
+            block_rows = rows[int(bounds[first]):int(bounds[end])]
+            cols = block_rows - lo
+            interval_of = np.repeat(
+                np.arange(first, end, dtype=np.int64), np.diff(block_bounds)
+            )
+            keys = (interval_of - first) * span + cols
+            np.add.at(hist, keys, 1)
+            # Scanning a boolean mask beats scanning the int64 counts
+            # several times over when many cells are non-zero.
+            nonzero = np.flatnonzero(hist != 0)
+            cells.append(nonzero)
+            counts.append(hist[nonzero])
+            hist[nonzero] = 0
+            self.blocks.append((first, end, n_cells, n_cells + nonzero.size))
+            n_cells += nonzero.size
+            if dimm.ptrr.enabled:
+                hit = dimm.ptrr.refresh_mask(block_rows.size, ptrr_rng)
+                agg_interval.append(interval_of[hit])
+                agg_col.append(cols[hit])
+            if raa is not None:
+                targets, trips = raa.observe_chunk(block_rows)
+                self.trr_refreshes += int(targets.size)
+                agg_interval.append(interval_of[trips])
+                agg_col.append(targets - lo)
+            refs = sampler.plan(block_rows, block_bounds, lo, span)
+            ref_counts = [len(targets) for targets in refs]
+            self.ref_counts += ref_counts
+            n_refs = sum(ref_counts)
+            if n_refs:
+                self.trr_refreshes += n_refs
+                agg_interval.append(
+                    np.repeat(np.arange(first, end, dtype=np.int64), ref_counts)
+                )
+                agg_col.append(
+                    np.fromiter(
+                        chain.from_iterable(refs), dtype=np.int64, count=n_refs
+                    )
+                    - lo
+                )
             first = end
-
-    def _block(self, first: int, end: int) -> _PlanBlock:
-        span = self.span
-        lo = self.lo
-        n = end - first
-        bounds = self.bounds[first:end + 1] - self.bounds[first]
-        rows = self.rows[int(self.bounds[first]):int(self.bounds[end])]
-        cols = rows - lo
-        acts = np.diff(bounds)
-        interval_of = np.repeat(np.arange(n, dtype=np.int64), acts)
-        keys = interval_of * span + cols
-        hist = self._hist[:n * span]
-        np.add.at(hist, keys, 1)
-        # (weight * acts) * gain, as the slice adds always computed it.
-        scaled: dict[int, np.ndarray] = {}
-        for distance, weight in NEIGHBOUR_WEIGHTS.items():
-            contribution = self._scaled[distance][:n * span]
-            np.multiply(hist, weight, out=contribution)
-            np.multiply(contribution, self.gain, out=contribution)
-            scaled[distance] = contribution.reshape(n, span)
-        hist[keys] = 0
-        deposits = [
-            scaled[distance][:, :-distance]
-            if below
-            else scaled[distance][:, distance:]
-            for distance, below in _SLICE_ADDS
-            if span > distance
-        ]
-
-        # Aggressors whose neighbours are refreshed, by interval.
-        agg_interval: list[np.ndarray] = []
-        agg_col: list[np.ndarray] = []
-        if self.ptrr.enabled:
-            hit = self.ptrr.refresh_mask(rows.size, self.ptrr_rng)
-            agg_interval.append(interval_of[hit])
-            agg_col.append(cols[hit])
-        if self.raa is not None:
-            targets, trips = self.raa.observe_chunk(rows)
-            self.trr_refreshes += int(targets.size)
-            agg_interval.append(interval_of[trips])
-            agg_col.append(targets - lo)
-        refs = self.sampler.plan(rows, bounds, lo, span)
-        ref_counts = [len(targets) for targets in refs]
-        n_refs = sum(ref_counts)
-        if n_refs:
-            self.trr_refreshes += n_refs
-            agg_interval.append(
-                np.repeat(np.arange(n, dtype=np.int64), ref_counts)
+        self.cells = np.concatenate(cells)
+        self.counts = np.concatenate(counts)
+        # The window reaches two rows past every aggressor, so every
+        # refreshed victim is a window column.
+        if agg_col:
+            interval = np.repeat(
+                np.concatenate(agg_interval), _NEIGHBOUR_OFFSETS.size
             )
-            agg_col.append(
-                np.fromiter(
-                    chain.from_iterable(refs), dtype=np.int64, count=n_refs
-                )
-                - lo
-            )
-        if self.trace_windows:
-            for t, count in enumerate(acts.tolist()):
-                OBS.tracer.point(
-                    "dram.window",
-                    bank=self.bank,
-                    window=first + t,
-                    acts=count,
-                    trr_refreshes=ref_counts[t],
-                    virtual_ns=self.t_refi,
-                )
-
-        n_loc = self.los.size
-        loc_base = np.arange(n_loc, dtype=np.int64) * span
-        zero_interval: list[np.ndarray] = []
-        zero: list[np.ndarray] = []
-        if agg_interval:
             victims = (
                 np.concatenate(agg_col)[:, None] + _NEIGHBOUR_OFFSETS
             ).ravel()
-            victim_interval = np.repeat(
-                np.concatenate(agg_interval), _NEIGHBOUR_OFFSETS.size
-            )
-            # The window reaches two rows past every aggressor, so every
-            # refreshed victim is a window column.
-            zero.append((victims[:, None] + loc_base).ravel())
-            zero_interval.append(np.repeat(victim_interval, n_loc))
-        # Periodic refresh: device rows [slot, slot + rows_per_ref) of the
-        # interval's slot, intersected with each location's window.
-        slot_row = (
-            (first + np.arange(n, dtype=np.int64)) % self.refs_per_window
-        ) * self.rows_per_ref
-        start = slot_row[:, None] - self.los
-        stop = np.clip(start + self.rows_per_ref, 0, span).ravel()
-        start = np.clip(start, 0, span).ravel()
-        lengths = stop - start
-        total = int(lengths.sum())
-        if total:
-            offsets = np.cumsum(lengths) - lengths
-            zero.append(
-                np.arange(total, dtype=np.int64)
-                + np.repeat(np.tile(loc_base, n) + start - offsets, lengths)
-            )
-            zero_interval.append(
-                np.repeat(np.arange(n, dtype=np.int64), n_loc).repeat(lengths)
-            )
-        if zero:
             # Each source is already in interval order, so the stable
             # (merge) sort only interleaves a few sorted runs.
-            interval = np.concatenate(zero_interval)
             order = np.argsort(interval, kind="stable")
-            flat = np.concatenate(zero)[order]
-            zero_bounds = np.searchsorted(
-                interval[order], np.arange(n + 1, dtype=np.int64)
-            ).tolist()
+            self.victims = victims[order]
+            interval = interval[order]
         else:
-            flat = np.zeros(0, dtype=np.int64)
-            zero_bounds = [0] * (n + 1)
-        return _PlanBlock(
-            first=first,
-            acts=acts.tolist(),
-            deposits=deposits,
-            zero=flat,
-            zero_bounds=zero_bounds,
-        )
+            self.victims = interval = np.zeros(0, dtype=np.int64)
+        #: ``victims[victim_bounds[t]:victim_bounds[t + 1]]`` are interval
+        #: ``t``'s refreshed columns.
+        self.victim_bounds: list[int] = np.searchsorted(
+            interval, np.arange(n + 1, dtype=np.int64)
+        ).tolist()
+        self.sampler = sampler if telemetry else None
+        self.tallies = sampler.capture_tallies() if telemetry else None
 
 
 class _BankWindow:
@@ -387,7 +330,7 @@ class _BankWindow:
     state over its compact victim window; column ``c`` is device row
     ``los[i] + c``.  The per-trial loop is the one-location case.  The
     locations' streams differ only by a uniform row shift, so one
-    :class:`_IntervalPlan` drives all of them and every location's
+    :class:`_BankPlan` drives all of them and every location's
     per-victim float accumulation order (hence every bit of its state)
     matches a per-trial run exactly.  ``peak_window`` (the interval where
     each victim's running peak was attained) is materialised only when
@@ -407,12 +350,14 @@ class _BankWindow:
             np.zeros((n, span), dtype=np.int64) if track_windows else None
         )
 
-    def run(self, blocks) -> None:
+    def run(self, plan: _BankPlan, gain: float, trace_bank=None) -> None:
         """Play a plan: deposit, record peaks, zero, interval by interval.
 
         Adding ``(weight * 0) * gain == 0.0`` for absent aggressors is a
         bitwise no-op on non-negative disturbance, and an interval
-        without ACTs cannot raise a peak, so only its zeroing runs.
+        without ACTs cannot raise a peak, so only its zeroing runs.  With
+        ``trace_bank`` set, each interval emits its ``dram.window`` point
+        as its block is played.
         """
         d = self.disturbance
         peak = self.peak
@@ -425,41 +370,138 @@ class _BankWindow:
             for distance, below in _SLICE_ADDS
             if span > distance
         ]
-        for block in blocks:
-            adds = list(zip(targets, block.deposits))
-            zero = block.zero
-            zero_bounds = block.zero_bounds
-            window = block.first
-            for t, acts in enumerate(block.acts):
+        # Block buffers, reused by every block; the histogram is kept
+        # all-zero between blocks.
+        cells = max(end - first for first, end, _, _ in plan.blocks) * span
+        hist = np.zeros(cells, dtype=np.int64)
+        scaled = {
+            distance: np.empty(cells, dtype=np.float64)
+            for distance in NEIGHBOUR_WEIGHTS
+        }
+        for block in plan.blocks:
+            first, end = block[0], block[1]
+            adds = list(zip(targets, _deposits(plan, block, gain, hist, scaled)))
+            victims, victim_bounds = self._victims(plan, first, end)
+            periodic, periodic_bounds = self._periodic(plan, first, end)
+            acts_of = plan.acts[first:end]
+            if trace_bank is not None:
+                for t, acts in enumerate(acts_of, first):
+                    OBS.tracer.point(
+                        "dram.window",
+                        bank=trace_bank,
+                        window=t,
+                        acts=acts,
+                        trr_refreshes=plan.ref_counts[t],
+                        virtual_ns=plan.t_refi,
+                    )
+            for t, acts in enumerate(acts_of):
                 if acts:
                     for target, deposit in adds:
                         target += deposit[t]
                     np.greater(d, peak, out=improved)
                     np.copyto(peak, d, where=improved)
                     if peak_window is not None:
-                        np.copyto(peak_window, window + t, where=improved)
-                z0 = zero_bounds[t]
-                z1 = zero_bounds[t + 1]
+                        np.copyto(peak_window, first + t, where=improved)
+                z0 = victim_bounds[t]
+                z1 = victim_bounds[t + 1]
                 if z1 > z0:
-                    flat[zero[z0:z1]] = 0.0
+                    flat[victims[z0:z1]] = 0.0
+                z0 = periodic_bounds[t]
+                z1 = periodic_bounds[t + 1]
+                if z1 > z0:
+                    flat[periodic[z0:z1]] = 0.0
+
+    def _victims(self, plan: _BankPlan, first: int, end: int):
+        """The plan's refreshed columns of intervals ``[first, end)``, for
+        every location, as flat state indices (``location * span +
+        column``) grouped by interval: ``flat[bounds[t]:bounds[t + 1]]``
+        (``t`` relative to ``first``)."""
+        n_loc, span = self.disturbance.shape
+        v0 = plan.victim_bounds[first]
+        flat = (
+            plan.victims[v0:plan.victim_bounds[end], None]
+            + np.arange(n_loc, dtype=np.int64) * span
+        ).ravel()
+        bounds = [(b - v0) * n_loc for b in plan.victim_bounds[first:end + 1]]
+        return flat, bounds
+
+    def _periodic(self, plan: _BankPlan, first: int, end: int):
+        """Each location's periodic refresh of intervals ``[first, end)``.
+
+        Interval ``t`` refreshes device rows ``[slot, slot +
+        rows_per_ref)`` of its slot, intersected with each location's
+        window; indexed like :meth:`_victims`.
+        """
+        n = end - first
+        n_loc, span = self.disturbance.shape
+        slot_row = (
+            (first + np.arange(n, dtype=np.int64)) % plan.refs_per_window
+        ) * plan.rows_per_ref
+        start = slot_row[:, None] - self.los
+        stop = np.clip(start + plan.rows_per_ref, 0, span).ravel()
+        start = np.clip(start, 0, span).ravel()
+        lengths = stop - start
+        bounds = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(lengths.reshape(n, n_loc).sum(axis=1), out=bounds[1:])
+        total = int(bounds[-1])
+        if not total:
+            return _NO_ROWS, bounds.tolist()
+        loc_base = np.arange(n_loc, dtype=np.int64) * span
+        offsets = np.cumsum(lengths) - lengths
+        flat = np.arange(total, dtype=np.int64) + np.repeat(
+            np.tile(loc_base, n) + start - offsets, lengths
+        )
+        return flat, bounds.tolist()
+
+
+def _deposits(plan: _BankPlan, block, gain: float, hist, scaled):
+    """One block's deposits, one ``(intervals, span - distance)`` array
+    per :data:`_SLICE_ADDS` entry: row ``t`` is what interval ``t``'s
+    slice add deposits.
+
+    The plan's ACT histogram is scaled as ``(weight * acts) * gain``,
+    element for element the values the slice adds always computed, into
+    the ``scaled`` buffers; ``hist`` is left all-zero.
+    """
+    first, end, c0, c1 = block
+    n = end - first
+    span = plan.span
+    block_hist = hist[:n * span]
+    nonzero = plan.cells[c0:c1]
+    block_hist[nonzero] = plan.counts[c0:c1]
+    by_distance: dict[int, np.ndarray] = {}
+    for distance, weight in NEIGHBOUR_WEIGHTS.items():
+        contribution = scaled[distance][:n * span]
+        np.multiply(block_hist, weight, out=contribution)
+        np.multiply(contribution, gain, out=contribution)
+        by_distance[distance] = contribution.reshape(n, span)
+    block_hist[nonzero] = 0
+    return [
+        by_distance[distance][:, :-distance]
+        if below
+        else by_distance[distance][:, distance:]
+        for distance, below in _SLICE_ADDS
+        if span > distance
+    ]
+
+
+#: An empty index: no periodic refresh in a block.
+_NO_ROWS = np.zeros(0, dtype=np.int64)
 
 
 @dataclass
 class _BankPass:
     """One bank's played stream, holding only what emission reads.
 
-    The plan's block buffers and the disturbance matrix are dropped once
-    the stream is played; the peaks stay until every location is emitted.
+    The disturbance matrix is dropped once the stream is played; the
+    peaks stay until every location is emitted.
     """
 
     bank: int
     lo: int  # location 0's window origin (device row)
     peak: np.ndarray  # (locations, span)
     peak_window: np.ndarray | None  # with telemetry
-    trr_refreshes: int  # shared: TRR/RFM decisions are shift-invariant
-    acts_per_interval: list[int] | None  # with telemetry
-    sampler: TrrSampler | None  # with telemetry, to replay ``tallies``
-    tallies: tuple | None
+    plan: _BankPlan
 
 
 class Dimm:
@@ -493,7 +535,7 @@ class Dimm:
 
     # -- weak-cell cache export/adoption (persistent-pool sharing) -----
     def export_shared_cells(self, limit: int | None = None):
-        """Flattened weak-cell profiles for shared-memory publication.
+        """Flattened weak-cell thresholds for shared-memory publication.
 
         Delegates to :meth:`CellPopulation.export_profiles`; the DIMM is
         the ownership boundary the engine talks to, so worker adoption
@@ -501,11 +543,9 @@ class Dimm:
         """
         return self.cells.export_profiles(limit=limit)
 
-    def adopt_shared_cells(self, index, thresholds, bit_indices, directions):
+    def adopt_shared_cells(self, index, thresholds):
         """Seed the weak-cell cache from another process's export."""
-        return self.cells.seed_profiles(
-            index, thresholds, bit_indices, directions
-        )
+        return self.cells.seed_profiles(index, thresholds)
 
     # ------------------------------------------------------------------
     def hammer(
@@ -513,6 +553,7 @@ class Dimm:
         bank_streams: dict[int, tuple[np.ndarray, np.ndarray]],
         collect_events: bool = True,
         disturbance_gain: float = 1.0,
+        plan: StreamPlan | None = None,
     ) -> HammerResult:
         """Execute activation streams and return the induced flips.
 
@@ -526,10 +567,14 @@ class Dimm:
         simulated ACT stands for N paper ACTs and deposits N units of
         disturbance.  TRR and refresh dynamics are unaffected — only the
         accumulation speed changes.
+
+        ``plan``, if given, is the :class:`StreamPlan` of a stream these
+        streams replay up to a uniform row shift (filled by this call if
+        it is new).
         """
         banks = self._bank_list(bank_streams, _NO_SHIFT)
         return self._hammer_locations(
-            banks, _NO_SHIFT, collect_events, disturbance_gain
+            banks, _NO_SHIFT, collect_events, disturbance_gain, plan
         )[0]
 
     def batch_supported(
@@ -556,6 +601,7 @@ class Dimm:
         row_deltas: np.ndarray,
         collect_events: bool = False,
         disturbance_gain: float = 1.0,
+        plan: StreamPlan | None = None,
     ) -> list[HammerResult]:
         """Execute one stream at many base-row-shifted locations at once.
 
@@ -578,10 +624,14 @@ class Dimm:
         location, and all are applied per location.  This method only
         decides how the locations are split into driver passes; one
         location, or a batch :meth:`batch_supported` refuses, runs as
-        :meth:`hammer` calls.
+        :meth:`hammer` calls.  Every pass and every such call plays one
+        :class:`StreamPlan`: ``plan`` if given (filled by this call if it
+        is new, see :meth:`hammer`), else a plan of this call's own.
         """
         deltas = np.ascontiguousarray(np.asarray(row_deltas, dtype=np.int64))
         supported, _reason = self.batch_supported(bank_streams, deltas)
+        if plan is None:
+            plan = StreamPlan()
         if not supported or deltas.size == 1:
             return [
                 self.hammer(
@@ -591,6 +641,7 @@ class Dimm:
                     },
                     collect_events=collect_events,
                     disturbance_gain=disturbance_gain,
+                    plan=plan,
                 )
                 for delta in deltas.tolist()
             ]
@@ -607,6 +658,7 @@ class Dimm:
                 deltas[first:first + per_pass],
                 collect_events,
                 disturbance_gain,
+                plan,
             )
         return results
 
@@ -655,6 +707,7 @@ class Dimm:
         deltas: np.ndarray,
         collect_events: bool,
         disturbance_gain: float,
+        plan: StreamPlan | None,
     ) -> list[HammerResult]:
         """The driver: play each bank once for all locations, then emit.
 
@@ -664,7 +717,7 @@ class Dimm:
         """
         telemetry = OBS.enabled
         passes = [
-            self._play_bank(bank, times, rows, deltas, disturbance_gain)
+            self._play_bank(bank, times, rows, deltas, disturbance_gain, plan)
             for bank, times, rows in banks
         ]
         return [
@@ -688,33 +741,36 @@ class Dimm:
         rows: np.ndarray,
         deltas: np.ndarray,
         disturbance_gain: float,
+        plan: StreamPlan | None,
     ) -> _BankPass:
-        """Plan one bank stream and play it over every location."""
+        """Play one bank stream over every location, planned once.
+
+        The bank's plan is taken from ``plan`` if it holds one and is
+        stored there if it is new.
+        """
         telemetry = OBS.enabled
         trace_windows = (
             telemetry and OBS.tracer.enabled and OBS.tracer.detail == "window"
         )
         lo = int(rows.min()) - 2
         span = int(rows.max()) + 2 - lo + 1
-        # Any non-None batch makes the sampler tally its telemetry; this
-        # one is never flushed: each location replays the tallies.
-        plan = _IntervalPlan(
-            self, bank, times, rows, lo, span, lo + deltas, disturbance_gain,
-            OBS.metrics.batch() if telemetry else None, trace_windows,
-        )
+        bank_plan = plan.banks.get(bank) if plan is not None else None
+        if bank_plan is None or (telemetry and bank_plan.tallies is None):
+            bank_plan = _BankPlan(self, bank, times, rows, lo, span, telemetry)
+            if plan is not None:
+                plan.banks[bank] = bank_plan
+        elif bank_plan.span != span or bank_plan.n_acts != rows.size:
+            raise SimulationError(
+                f"bank {bank}'s stream is not the one its plan was made for"
+            )
         state = _BankWindow(lo + deltas, span, track_windows=telemetry)
-        state.run(plan.blocks())
+        state.run(bank_plan, disturbance_gain, bank if trace_windows else None)
         return _BankPass(
             bank=bank,
             lo=lo,
             peak=state.peak,
             peak_window=state.peak_window,
-            trr_refreshes=plan.trr_refreshes,
-            acts_per_interval=(
-                np.diff(plan.bounds).tolist() if telemetry else None
-            ),
-            sampler=plan.sampler if telemetry else None,
-            tallies=plan.sampler.capture_tallies() if telemetry else None,
+            plan=bank_plan,
         )
 
     def _emit_bank_location(
@@ -740,20 +796,21 @@ class Dimm:
         touched = np.nonzero(peak > 0.0)[0]
         victims = touched + (lo + first)
         counts = self.cells.flip_counts_for(p.bank, victims, peak[touched])
+        plan = p.plan
         if telemetry:
             batch = OBS.metrics.batch()
             windows = p.peak_window[i, first:last][touched]
             for j in np.nonzero(counts)[0].tolist():
                 self._flip_metrics(batch, int(counts[j]), int(windows[j]))
-            sampler = p.sampler
+            sampler = plan.sampler
             sampler.metrics = batch
-            sampler.restore_tallies(p.tallies)
+            sampler.restore_tallies(plan.tallies)
             sampler.flush_metrics()
-            batch.inc("dram.windows_total", len(p.acts_per_interval))
-            batch.observe_many("dram.acts_per_window", p.acts_per_interval)
+            batch.inc("dram.windows_total", len(plan.acts))
+            batch.observe_many("dram.acts_per_window", plan.acts)
             batch.flush()
         if not collect_events:
-            return int(counts.sum()), p.trr_refreshes
+            return int(counts.sum()), plan.trr_refreshes
         flips: list[FlipEvent] = []
         for j in np.nonzero(counts)[0].tolist():
             victim = int(victims[j])
@@ -767,7 +824,7 @@ class Dimm:
                 )
                 for k in range(int(counts[j]))
             )
-        return flips, p.trr_refreshes
+        return flips, plan.trr_refreshes
 
     @staticmethod
     def _result(

@@ -19,6 +19,11 @@ freshly-built twins and demands bit-identical outcomes:
   shared telemetry semantics — e.g. the TRR sampler's inserted/hit/escaped
   accounting — not just the end result.
 
+With ``replay_deltas`` every twin then plays the workload a second time at
+other base rows, the batched twin through the
+:class:`~repro.dram.device.StreamPlan` its first play filled, which must
+serve the replay without planning any bank again.
+
 ``cross_check`` is used by the equivalence test suite
 (``tests/test_dram_equivalence.py``) across patterns x TRR vendor
 profiles x pTRR x RFM x base rows, and by the ``dram`` microbench in
@@ -33,7 +38,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from repro.common.rng import RngStream, derive_seed
-from repro.dram.device import Dimm, HammerResult
+from repro.dram.device import Dimm, HammerResult, StreamPlan
 from repro.dram.reference import reference_twin
 from repro.obs import OBS, telemetry_session
 
@@ -67,6 +72,8 @@ class PathTrace:
 
     locations: tuple[HammerResult, ...]
     metrics: dict
+    #: Banks a replay planned again instead of reusing the first plan.
+    replanned: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -86,27 +93,42 @@ class CrossCheck:
 def _run_twin(
     device: Dimm,
     bank_streams: dict[int, tuple[np.ndarray, np.ndarray]],
-    deltas: np.ndarray,
+    plays: list[np.ndarray],
     disturbance_gain: float,
     collect_events: bool,
+    telemetry: bool,
     batched: bool,
 ) -> PathTrace:
-    """Hammer every location under a fresh metrics session, record all.
+    """Hammer every location of every play under one fresh metrics
+    session, record all.
 
-    The caller must pass a freshly-built device (see :func:`vector_twin` /
+    The batched twin plays each row-shift set with one ``hammer_batch``
+    call, all through one :class:`StreamPlan`; the per-location twins
+    make one ``hammer`` call per location, each planning afresh.  The
+    caller must pass a freshly-built device (see :func:`vector_twin` /
     :func:`~repro.dram.reference.reference_twin`): a warm cell-profile
     cache would not change results, but a consumed RNG stream would.
     """
-    with telemetry_session(metrics=True):
-        if batched:
-            results = device.hammer_batch(
-                bank_streams,
-                deltas,
-                collect_events=collect_events,
-                disturbance_gain=disturbance_gain,
-            )
-        else:
-            results = [
+    results: list[HammerResult] = []
+    plan = StreamPlan()
+    replanned: set[int] = set()
+    with telemetry_session(metrics=telemetry):
+        for deltas in plays:
+            if batched:
+                planned = dict(plan.banks)
+                results += device.hammer_batch(
+                    bank_streams,
+                    deltas,
+                    collect_events=collect_events,
+                    disturbance_gain=disturbance_gain,
+                    plan=plan,
+                )
+                replanned.update(
+                    bank for bank, bank_plan in planned.items()
+                    if plan.banks[bank] is not bank_plan
+                )
+                continue
+            results += [
                 device.hammer(
                     {
                         bank: (times, rows + delta)
@@ -118,7 +140,11 @@ def _run_twin(
                 for delta in deltas.tolist()
             ]
         snapshot = OBS.metrics.snapshot()
-    return PathTrace(locations=tuple(results), metrics=snapshot)
+    return PathTrace(
+        locations=tuple(results),
+        metrics=snapshot,
+        replanned=tuple(sorted(replanned)),
+    )
 
 
 def cross_check(
@@ -127,6 +153,8 @@ def cross_check(
     row_deltas=(0,),
     disturbance_gain: float = 1.0,
     collect_events: bool = True,
+    replay_deltas=None,
+    telemetry: bool = True,
 ) -> CrossCheck:
     """Prove batched == per-location == reference for one workload.
 
@@ -137,14 +165,25 @@ def cross_check(
     through one :meth:`~repro.dram.device.Dimm.hammer` call per location,
     and the :class:`~repro.dram.reference.ReferenceDimm` through the same
     per-location calls.  Every location's observables and the full OBS
-    metric snapshots must agree.
+    metric snapshots must agree.  ``replay_deltas``, if given, is a second
+    set of shifts every twin plays next (the batched twin through the
+    plan of its first call); its locations follow the first ones in each
+    trace.  ``telemetry=False`` runs the twins with telemetry off (their
+    snapshots are then empty).
     """
-    deltas = np.ascontiguousarray(np.asarray(row_deltas, dtype=np.int64))
-    args = (bank_streams, deltas, disturbance_gain, collect_events)
+    plays = [
+        np.ascontiguousarray(np.asarray(deltas, dtype=np.int64))
+        for deltas in (row_deltas, replay_deltas)
+        if deltas is not None
+    ]
+    args = (bank_streams, plays, disturbance_gain, collect_events, telemetry)
     batched = _run_twin(vector_twin(dimm), *args, batched=True)
     serial = _run_twin(vector_twin(dimm), *args, batched=False)
     reference = _run_twin(reference_twin(dimm), *args, batched=False)
-    mismatches = _diff(batched, serial, "serial", sort_flips=False)
+    mismatches = [
+        f"replay planned bank {bank} again" for bank in batched.replanned
+    ]
+    mismatches += _diff(batched, serial, "serial", sort_flips=False)
     mismatches += _diff(batched, reference, "reference", sort_flips=True)
     return CrossCheck(
         batched=batched,

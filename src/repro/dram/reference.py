@@ -102,7 +102,8 @@ class ReferenceDimm(Dimm):
     It overrides the one driver hook, :meth:`Dimm._hammer_locations`, so
     every public call — :meth:`~Dimm.hammer` and
     :meth:`~Dimm.hammer_batch` alike — runs each location on its own
-    through :meth:`_hammer_bank` and never touches the vectorised loop.
+    through :meth:`_hammer_bank` and never touches the vectorised loop
+    (nor a :class:`~repro.dram.device.StreamPlan`).
     """
 
     def _hammer_locations(
@@ -111,6 +112,7 @@ class ReferenceDimm(Dimm):
         deltas: np.ndarray,
         collect_events: bool,
         disturbance_gain: float,
+        plan=None,
     ):
         return [
             self._result(

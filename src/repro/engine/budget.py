@@ -34,7 +34,10 @@ BACKEND_CHOICES: tuple[str, ...] = ("auto", "serial", "persistent")
 #: Default locations per batched sweep task — large enough to amortise
 #: the per-interval Python loop across a chunk, small enough that one
 #: task stays a responsive pool work unit and its ``(locations x span)``
-#: state matrices stay cache-friendly.
+#: state matrices stay cache-friendly.  The stream's bank split and its
+#: TRR/pTRR/RFM plan are not per-chunk costs: the memory controller
+#: keeps them for the next call, so each worker makes them once, on its
+#: first chunk.
 DEFAULT_BATCH_LOCATIONS = 16
 
 

@@ -3,7 +3,7 @@
 Persistent workers are forked once per pool lifetime, so state the parent
 derives *after* the fork — memoised :class:`~repro.cpu.executor.
 HammerExecutor` kernel results, materialised
-:class:`~repro.dram.cells.CellPopulation` weak-cell profiles — would
+:class:`~repro.dram.cells.CellPopulation` weak-cell thresholds — would
 normally have to be re-derived in every worker.  This module ships it
 instead: the parent packs the backing NumPy arrays into one
 ``multiprocessing.shared_memory`` segment per publication
@@ -158,7 +158,7 @@ class SharedArrayPack:
 
 
 # ----------------------------------------------------------------------
-# Machine-state publication: executor memo + weak-cell profiles.
+# Machine-state publication: executor memo + weak-cell thresholds.
 # ----------------------------------------------------------------------
 def export_machine_state(
     machine: Any,
@@ -193,10 +193,8 @@ def export_machine_state(
     if dimm is not None:
         exported = dimm.export_shared_cells(limit=MAX_SHARED_PROFILES)
         if exported is not None:
-            index, thresholds, bits, dirs = exported
+            index, thresholds = exported
             arrays["cells.thresholds"] = thresholds
-            arrays["cells.bits"] = bits
-            arrays["cells.dirs"] = dirs
             control["cells"] = index
 
     if not arrays:
@@ -233,9 +231,6 @@ def adopt_machine_state(
         machine.executor.seed_memo(entries)
     if control["cells"] is not None:
         machine.dimm.adopt_shared_cells(
-            control["cells"],
-            pack.view("cells.thresholds"),
-            pack.view("cells.bits"),
-            pack.view("cells.dirs"),
+            control["cells"], pack.view("cells.thresholds")
         )
     return pack

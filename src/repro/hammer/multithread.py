@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.cpu.isa import HammerKernelConfig
 from repro.hammer.multibank import interleave_stream, multibank_addresses
-from repro.hammer.session import PatternOutcome
+from repro.hammer.session import PatternOutcome, stretched_activations
 from repro.patterns.frequency import NonUniformPattern
 from repro.system.machine import Machine
 
@@ -69,11 +69,7 @@ class MultiThreadSession:
     ) -> PatternOutcome:
         machine = self.machine
         banks = list(range(self.config.num_banks))
-        est = machine.executor.throughput.iteration_cost(
-            self.config, miss_rate=0.7
-        ).total_ns
-        window_ns = machine.dimm.timing.refresh_window
-        activations = max(activations, int(2.2 * window_ns / est))
+        activations = stretched_activations(machine, self.config, activations)
         per_thread = max(
             1, activations // (pattern.base_period * len(banks) * self.num_threads)
         )

@@ -27,6 +27,12 @@ from repro.obs import OBS
 from repro.patterns.frequency import NonUniformPattern
 from repro.system.machine import Machine
 
+#: Every trial is stretched to cover at least this many refresh windows
+#: of simulated time, so slow and fast kernels see the same accumulation
+#: horizon (a fixed activation count would hand slower kernels more
+#: windows and bias comparisons).
+MIN_REFRESH_WINDOWS = 2.2
+
 #: Bounded size of the per-session expanded-stream memo.  Mirrors the
 #: executor memo: an LRU (move-to-end on hit, evict oldest) instead of
 #: the old clear-everything-at-capacity behaviour, so a fuzzing loop
@@ -66,11 +72,6 @@ class HammerSession:
     config: HammerKernelConfig
     default_banks: tuple[int, ...] = (0,)
     disturbance_gain: float = 1.0
-    #: Every trial is stretched to cover at least this many refresh
-    #: windows of simulated time, so slow and fast kernels see the same
-    #: accumulation horizon (a fixed activation count would hand slower
-    #: kernels more windows and bias comparisons).
-    min_refresh_windows: float = 2.2
     #: Memo of expanded intended streams: the combined (aggressor x bank)
     #: id stream depends only on (pattern layout, iterations, banks) — not
     #: on the base row — so sweep/fuzz trials that replay one pattern at
@@ -119,12 +120,9 @@ class HammerSession:
         of the stream) without re-hashing it.
         """
         target_banks = list(banks if banks is not None else self.default_banks)
-        est_cost = self.machine.executor.throughput.iteration_cost(
-            self.config, miss_rate=0.7
-        ).total_ns
-        window_ns = self.machine.dimm.timing.refresh_window
-        needed = int(self.min_refresh_windows * window_ns / est_cost)
-        activations = max(activations, needed)
+        activations = stretched_activations(
+            self.machine, self.config, activations
+        )
         n_banks = len(target_banks)
         iterations = max(1, activations // (pattern.base_period * n_banks))
         key = (
@@ -235,18 +233,26 @@ class HammerSession:
                     combined, self.config, fingerprint
                 )
         # Address index = aggressor id * n_banks + bank lane.
+        offsets = pattern.aggressor_row_offsets()
         addresses = multibank_addresses(
-            self.machine.mapping,
-            pattern.aggressor_row_offsets(),
-            rows[0],
-            target_banks,
+            self.machine.mapping, offsets, rows[0], target_banks
         ).reshape(-1)[execution.address_ids]
+        # The executor-memo key names the realised stream; the banks and
+        # aggressor offsets make its addresses a function of the base row.
+        stream_key = (
+            fingerprint,
+            int(combined.size),
+            self.config,
+            tuple(target_banks),
+            offsets.tobytes(),
+        )
         results = self.machine.controller.execute_acts_batch(
             execution.times_ns,
             addresses,
             np.asarray(rows, dtype=np.int64) - rows[0],
             collect_events=collect_events,
             disturbance_gain=self.disturbance_gain,
+            stream_key=stream_key,
         )
         return [_outcome(result, execution) for result in results]
 
@@ -277,6 +283,22 @@ class HammerSession:
             buckets=tuple(i / 20 for i in range(1, 21)),
         ).observe(outcome.cache_miss_rate)
         return outcome
+
+
+def stretched_activations(
+    machine: Machine, config: HammerKernelConfig, activations: int
+) -> int:
+    """``activations``, raised to span :data:`MIN_REFRESH_WINDOWS`.
+
+    The one definition of a trial's horizon, for every session.  The
+    kernel's time per access is estimated at a 70% miss rate, so the
+    stretch depends only on the machine and the kernel.
+    """
+    est_cost = machine.executor.throughput.iteration_cost(
+        config, miss_rate=0.7
+    ).total_ns
+    window_ns = machine.dimm.timing.refresh_window
+    return max(activations, int(MIN_REFRESH_WINDOWS * window_ns / est_cost))
 
 
 def _outcome(result: HammerResult, execution) -> PatternOutcome:

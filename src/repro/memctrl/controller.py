@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.common.errors import SimulationError
-from repro.dram.device import Dimm, HammerResult
+from repro.dram.device import Dimm, HammerResult, StreamPlan
 from repro.dram.mitigations import RowRemapper
 from repro.mapping.functions import AddressMapping, DramAddress
 
@@ -33,6 +33,9 @@ class MemoryController:
         self.mapping = mapping
         self.dimm = dimm
         self.remapper = remapper or RowRemapper()
+        #: The last keyed stream's ``(key, bank streams, row of its first
+        #: ACT, plan)``; see :meth:`execute_acts_batch`.
+        self._replay: tuple | None = None
 
     # ------------------------------------------------------------------
     # Translation (the attacker never calls these; the side channel and
@@ -76,6 +79,7 @@ class MemoryController:
         row_deltas: np.ndarray,
         collect_events: bool = False,
         disturbance_gain: float = 1.0,
+        stream_key=None,
     ) -> list[HammerResult]:
         """Run one activation stream at many base-row-shifted locations.
 
@@ -93,11 +97,47 @@ class MemoryController:
         Every location's shifted rows are checked against the device
         before any location runs and before any remapping: a remapper
         can fold an off-device row back onto the device.
+
+        ``stream_key`` names the stream up to a uniform row shift: calls
+        with equal keys must carry the same stream with every row
+        shifted alike (the session's key is its executor-memo key plus
+        the target banks and aggressor offsets).  Behind the identity
+        remapper the controller keeps the last keyed stream's bank split
+        and :class:`~repro.dram.device.StreamPlan` in one slot.  A call
+        with the same key replays both: it passes the kept location-0
+        streams to the DIMM with its row shifts moved by the row
+        difference of the two streams' first ACTs, so it neither splits
+        the stream nor plans any TRR, pTRR or RFM decision again.  One
+        entry, because a replayed stream comes back in the very next
+        call (sweep chunks, window-detail rows), and unhashed, because
+        the caller's key already names the stream.
         """
-        streams = self.bank_streams(times, phys_addrs)
         deltas = np.ascontiguousarray(np.asarray(row_deltas, dtype=np.int64))
         if not deltas.size:
             return []
+        plan = None
+        if (
+            stream_key is not None
+            and phys_addrs.size
+            and type(self.remapper) is RowRemapper
+        ):
+            first_row = int(self.mapping.row_of_many(phys_addrs[:1])[0])
+            replay = self._replay
+            if replay is None or replay[0] != stream_key:
+                # Drop the old entry before the new one is built.  A
+                # plan holds only banks planned to the end, so a call
+                # that fails leaves a slot later calls can still use.
+                self._replay = None
+                replay = self._replay = (
+                    stream_key,
+                    self.bank_streams(times, phys_addrs),
+                    first_row,
+                    StreamPlan(),
+                )
+            _, streams, replay_row, plan = replay
+            deltas = deltas + (first_row - replay_row)
+        else:
+            streams = self.bank_streams(times, phys_addrs)
         self.dimm.check_rows(streams, deltas)
         if type(self.remapper) is RowRemapper and deltas.size > 1:
             return self.dimm.hammer_batch(
@@ -105,12 +145,14 @@ class MemoryController:
                 deltas,
                 collect_events=collect_events,
                 disturbance_gain=disturbance_gain,
+                plan=plan,
             )
         return [
             self.dimm.hammer(
                 self._shift_remap(streams, delta),
                 collect_events=collect_events,
                 disturbance_gain=disturbance_gain,
+                plan=plan,
             )
             for delta in deltas.tolist()
         ]

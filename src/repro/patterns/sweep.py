@@ -18,12 +18,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.common.errors import CalibrationError
 from repro.cpu.isa import HammerKernelConfig
 from repro.engine import ExperimentSpec, RunBudget, create_backend
 from repro.obs import OBS
 from repro.patterns.frequency import NonUniformPattern
 from repro.system.calibration import SimulationScale
 from repro.system.machine import Machine
+
+#: Rows kept clear of each device edge by the swept base rows.
+SWEEP_MARGIN_ROWS = 256
+
+#: Least distance between consecutive swept base rows.
+SWEEP_MIN_STRIDE = 64
 
 
 @dataclass(frozen=True)
@@ -75,21 +82,35 @@ def sweep_pattern(
 
     ``budget`` is a :class:`RunBudget` whose trials are sweep locations;
     ``scale`` sets each location's activation budget and the Figure 11
-    time axis.
+    time axis.  Base rows lie at least :data:`SWEEP_MIN_STRIDE` rows
+    apart, :data:`SWEEP_MARGIN_ROWS` rows or more from either device
+    edge; a budget of more locations than fit raises
+    :class:`CalibrationError` before anything is hammered.
     """
     if not isinstance(budget, RunBudget):
         raise TypeError("sweep_pattern needs a RunBudget")
     num_locations = budget.resolve_trials(scale)
+    rows_total = machine.dimm.spec.geometry.rows
+    margin = SWEEP_MARGIN_ROWS
+    most = (rows_total - 2 * margin) // SWEEP_MIN_STRIDE + 1
+    if num_locations > most:
+        raise CalibrationError(
+            f"a sweep of {num_locations} locations does not fit: at most "
+            f"{most} distinct base rows lie {SWEEP_MIN_STRIDE} rows apart "
+            f"inside the {margin}-row margins of a {rows_total}-row DIMM"
+        )
 
     spec = ExperimentSpec(
         machine=machine, config=config, scale=scale, seed_name=seed_name
     )
     rng = machine.rng.child(seed_name, config.describe())
-    rows_total = machine.dimm.spec.geometry.rows
-    margin = 256
-    stride = max(64, (rows_total - 2 * margin) // max(1, num_locations))
+    stride = max(
+        SWEEP_MIN_STRIDE, (rows_total - 2 * margin) // max(1, num_locations)
+    )
     jitter = rng.integers(0, stride // 2, size=num_locations)
     base_rows = (margin + np.arange(num_locations) * stride + jitter).astype(int)
+    # Only the last location can pass the top margin; clipped, it still
+    # lies above every other base row.
     base_rows = np.clip(base_rows, margin, rows_total - margin)
 
     acts = scale.acts_per_pattern

@@ -23,7 +23,8 @@ from repro import (
 )
 from repro.common.errors import ReproError
 from repro.cpu import executor as executor_module
-from repro.dram.mitigations import ScrambledMapping
+from repro.dram import device as device_module
+from repro.dram.mitigations import RowRemapper, ScrambledMapping
 from repro.engine import ExperimentSpec, PersistentPoolBackend
 from repro.exploit.endtoend import canonical_compact_pattern, find_compact_pattern
 from repro.hammer import session as session_module
@@ -31,6 +32,7 @@ from repro.hammer.barriers import compare_barriers
 from repro.hammer.nops import tune_nop_count
 from repro.hammer.session import HammerSession
 from repro.obs import telemetry_session
+from repro.obs.trace import WALL_KEY
 from repro.patterns.fuzzer import FuzzingCampaign
 from repro.patterns.refine import refine_pattern
 
@@ -160,6 +162,81 @@ def test_run_pattern_batch_fingerprints_each_new_stream_once(monkeypatch):
     session.run_pattern_batch(pattern, rows[:2], activations=2 * acts)
     assert len(hashed) == 2 and hashed[1] > hashed[0]
     assert (executor.cache_hits, executor.cache_misses) == (8, 2)
+
+
+def _replay_step(machine, rows, acts, gain, detail, scrambled):
+    """One ``run_pattern_batch`` call: outcomes, metric snapshot and
+    trace records (wall times dropped), telemetry off if ``detail`` is
+    None.  The stream and executor memos are warmed first, so every
+    lookup of the call is a hit."""
+    combined, _, fingerprint = _session(machine).prepare_stream(
+        canonical_compact_pattern(), acts
+    )
+    machine.executor.execute(combined, _config(), fingerprint)
+    machine.controller.remapper = (
+        ScrambledMapping(geometry=machine.dimm.spec.geometry, boot_key=0xBEEF)
+        if scrambled
+        else RowRemapper()
+    )
+    session = _session(machine)
+    session.disturbance_gain = gain
+    pattern = canonical_compact_pattern()
+    if detail is None:
+        outcomes = session.run_pattern_batch(pattern, rows, activations=acts)
+        return [_outcome_key(o) for o in outcomes], None, None
+    with telemetry_session(
+        trace_memory=True, trace_detail=detail, metrics=True
+    ) as obs:
+        outcomes = session.run_pattern_batch(pattern, rows, activations=acts)
+        snapshot = obs.metrics.snapshot()
+        records = [
+            {k: v for k, v in event.items() if k != WALL_KEY}
+            for event in obs.tracer.memory_events
+        ]
+    return [_outcome_key(o) for o in outcomes], snapshot, records
+
+
+def test_replayed_streams_match_fresh_machines(monkeypatch):
+    """The memory controller replays a stream's bank split and plan
+    exactly when it may.  Each step runs on one machine after the steps
+    before it, and on a fresh machine: outcomes, metric snapshots and
+    trace records (``dram.window`` points included) are equal, while the
+    first machine plans only the banks listed."""
+    acts = QUICK_SCALE.acts_per_pattern
+    gain = QUICK_SCALE.disturbance_gain
+    steps = [
+        # rows, activation budget, gain, trace detail, scrambled, planned
+        (BASE_ROWS[:4], acts, gain, None, False, 3),
+        (BASE_ROWS[4:8], acts, gain, None, False, 0),
+        (BASE_ROWS[1:5], acts, 2 * gain, None, False, 0),
+        # Planned once more: the sampler tallies were not kept.
+        (BASE_ROWS[6:], acts, gain, "phase", False, 3),
+        (BASE_ROWS[:3], acts, gain, "phase", False, 0),
+        (BASE_ROWS[3:6], acts, gain, "window", False, 0),
+        (BASE_ROWS[:2], 2 * acts, gain, "phase", False, 3),
+        # A remapper plans every location and leaves the slot alone.
+        (BASE_ROWS[2:5], 2 * acts, gain, "phase", True, 9),
+        (BASE_ROWS[5:8], 2 * acts, gain, "phase", False, 0),
+        (BASE_ROWS[:3], acts, gain, None, False, 3),
+    ]
+    planned = []
+    real = device_module._BankPlan
+
+    class Counting(real):
+        def __init__(self, *args, **kwargs):
+            planned.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(device_module, "_BankPlan", Counting)
+    machine = _machine()
+    for rows, budget, step_gain, detail, scrambled, banks in steps:
+        step = (rows, budget, step_gain, detail, scrambled)
+        want = _replay_step(_machine(), *step)
+        planned.clear()
+        got = _replay_step(machine, *step)
+        assert len(planned) == banks, (rows, detail)
+        assert got == want, (rows, detail)
+    assert any(o[1] for o in got[0])
 
 
 def test_run_pattern_batch_trivial_inputs():

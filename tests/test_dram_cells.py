@@ -153,3 +153,41 @@ def test_batched_flip_counts_empty_and_all_zero():
     assert empty.size == 0
     zeros = pop.flip_counts_for(0, np.arange(5), np.zeros(5))
     assert zeros.tolist() == [0, 0, 0, 0, 0]
+
+
+def test_flip_counting_draws_thresholds_only(monkeypatch):
+    """Flip counting draws each row's thresholds (binomial, then
+    lognormal) and no bit metadata; ``profile()`` later completes the
+    entry in place to exactly what a fresh full draw gives."""
+    draws = []
+    real = np.random.default_rng
+
+    class Recording:
+        def __init__(self, seed):
+            self._rng = real(seed)
+
+        def __getattr__(self, name):
+            draws.append(name)
+            return getattr(self._rng, name)
+
+    monkeypatch.setattr(np.random, "default_rng", Recording)
+    pop = make_population()
+    rows = np.arange(100, 140)
+    counts = pop.flip_counts_for(2, rows, np.full(rows.size, 60_000.0))
+    assert counts.any()
+    assert set(draws) == {"binomial", "lognormal"}
+    assert pop.flip_count_for(2, 500, 60_000.0) > 0
+    assert set(draws) == {"binomial", "lognormal"}
+    pop.profile(2, 100)
+    assert {"choice", "random"} <= set(draws)
+    monkeypatch.undo()
+
+    fresh = make_population()
+    for row in rows.tolist():
+        got, want = pop.profile(2, row), fresh.profile(2, row)
+        assert np.array_equal(got.thresholds, want.thresholds)
+        assert np.array_equal(got.bit_indices, want.bit_indices)
+        assert np.array_equal(got.directions, want.directions)
+    assert pop.profiles_cached == rows.size + 1
+    assert pop.profile(2, 120) is pop.profile(2, 120)
+

@@ -5,7 +5,9 @@ workload, at one location or many, the batched and per-location
 vectorised :class:`~repro.dram.device.Dimm` calls and the preserved
 :class:`~repro.dram.reference.ReferenceDimm` produce identical flip
 events, counts, TRR refresh totals, durations *and* OBS metric snapshots
-— across patterns, TRR vendor profiles, pTRR, RFM and device edges.
+— across patterns, TRR vendor profiles, pTRR, RFM, device edges and
+telemetry on or off, and when a batched workload is played again at
+other base rows through the plan of its first play.
 """
 
 import numpy as np
@@ -15,7 +17,7 @@ from repro.common.errors import SimulationError
 from repro.common.rng import RngStream
 from repro.dram import device as device_mod
 from repro.dram.ddr5 import RfmConfig
-from repro.dram.device import Dimm, DimmSpec
+from repro.dram.device import Dimm, DimmSpec, StreamPlan
 from repro.dram.equivalence import (
     cross_check,
     synthetic_workload,
@@ -143,15 +145,22 @@ def test_small_plan_blocks_bit_identical(monkeypatch, cells, acts):
     check = cross_check(dimm, workload, disturbance_gain=24.0)
     assert check.identical, check.mismatches[:5]
     assert check.batched.locations[0].flip_count > 0
-    batched = cross_check(dimm, workload, BATCH_DELTAS, disturbance_gain=24.0)
+    batched = cross_check(
+        dimm, workload, BATCH_DELTAS, disturbance_gain=24.0,
+        replay_deltas=REPLAY_DELTAS,
+    )
     assert batched.identical, batched.mismatches[:5]
 
 
-def _window_points(device, workload):
+def _window_points(device, plays):
+    """The ``dram.window`` points of one ``hammer`` call per stream, all
+    through one plan (which the reference ignores)."""
+    plan = StreamPlan()
     with telemetry_session(
         trace_memory=True, trace_detail="window", metrics=True
     ) as obs:
-        device.hammer(workload, disturbance_gain=24.0)
+        for workload in plays:
+            device.hammer(workload, disturbance_gain=24.0, plan=plan)
         events = obs.tracer.memory_events
     return [
         {k: v for k, v in event.items() if k != WALL_KEY}
@@ -162,7 +171,8 @@ def _window_points(device, workload):
 
 @pytest.mark.parametrize("kind", ("mixed",) + PLAN_EDGE_KINDS)
 def test_window_trace_points_match_reference(kind):
-    """``--trace-detail window`` points: one per interval, as the oracle's."""
+    """``--trace-detail window`` points: one per interval, as the oracle's,
+    also when the stream is replayed 64 rows up through its first plan."""
     dimm = make_dimm(
         ptrr=PtrrShield(enabled=True, para_prob=0.02),
         rfm=RfmConfig(enabled=True),
@@ -171,11 +181,15 @@ def test_window_trace_points_match_reference(kind):
     workload = synthetic_workload(
         dimm, acts_per_bank=3000, banks=2, seed=6, kind=kind
     )
-    vectorised = _window_points(vector_twin(dimm), workload)
-    reference = _window_points(reference_twin(dimm), workload)
+    shifted = {
+        bank: (times, rows + 64) for bank, (times, rows) in workload.items()
+    }
+    plays = [workload, shifted]
+    vectorised = _window_points(vector_twin(dimm), plays)
+    reference = _window_points(reference_twin(dimm), plays)
     assert vectorised == reference
     t_refi = dimm.timing.t_refi
-    assert len(vectorised) == sum(
+    assert len(vectorised) == 2 * sum(
         int(times[-1] // t_refi) + 1 for times, _ in workload.values()
     )
     assert any(p["attrs"]["trr_refreshes"] for p in vectorised)
@@ -248,24 +262,40 @@ def test_metric_snapshots_compared_not_just_counts():
 
 BATCH_DELTAS = (0, 96, 4096, -48)
 
+#: Where a batched workload is played a second time, through the plan of
+#: its first play: other base rows, and another location count.
+REPLAY_DELTAS = (2048, 7, -300)
 
-@pytest.mark.parametrize("kind", ("double_sided", "mixed", "gappy"))
+
+#: Batched workload kinds, each with telemetry on, plus one with it off.
+BATCH_KINDS = [
+    pytest.param(kind, True, id=kind)
+    for kind in ("double_sided", "mixed", "gappy")
+] + [pytest.param("mixed", False, id="mixed-no-obs")]
+
+
+@pytest.mark.parametrize("kind, telemetry", BATCH_KINDS)
 @pytest.mark.parametrize("profile", sorted(VENDOR_TRR_PROFILES))
-def test_batch_vendor_profiles_bit_identical(kind, profile):
+def test_batch_vendor_profiles_bit_identical(kind, profile, telemetry):
     dimm = make_dimm(trr=VENDOR_TRR_PROFILES[profile])
     workload = synthetic_workload(
         dimm, acts_per_bank=4000, banks=2, seed=5, kind=kind
     )
-    check = cross_check(dimm, workload, BATCH_DELTAS, disturbance_gain=24.0)
+    check = cross_check(
+        dimm, workload, BATCH_DELTAS, disturbance_gain=24.0,
+        replay_deltas=REPLAY_DELTAS, telemetry=telemetry,
+    )
     assert check.identical, check.mismatches[:5]
-    # Every location must have executed the full stream.
-    assert len(check.batched.locations) == len(BATCH_DELTAS)
-    for trace in check.batched.locations:
+    # Every location, replayed ones included, executed the full stream.
+    locations = check.batched.locations
+    assert len(locations) == len(BATCH_DELTAS) + len(REPLAY_DELTAS)
+    for trace in locations:
         assert trace.acts_executed == 8000
+    assert bool(check.batched.metrics.get("counters")) == telemetry
 
 
-@pytest.mark.parametrize("kind", ("double_sided", "mixed", "gappy"))
-def test_batch_ptrr_and_rfm_bit_identical(kind):
+@pytest.mark.parametrize("kind, telemetry", BATCH_KINDS)
+def test_batch_ptrr_and_rfm_bit_identical(kind, telemetry):
     dimm = make_dimm(
         ptrr=PtrrShield(enabled=True, para_prob=0.02),
         rfm=RfmConfig(enabled=True),
@@ -274,7 +304,10 @@ def test_batch_ptrr_and_rfm_bit_identical(kind):
     workload = synthetic_workload(
         dimm, acts_per_bank=4000, banks=2, seed=7, kind=kind
     )
-    check = cross_check(dimm, workload, BATCH_DELTAS, disturbance_gain=24.0)
+    check = cross_check(
+        dimm, workload, BATCH_DELTAS, disturbance_gain=24.0,
+        replay_deltas=REPLAY_DELTAS, telemetry=telemetry,
+    )
     assert check.identical, check.mismatches[:5]
     assert all(t.trr_refreshes > 0 for t in check.batched.locations)
 
@@ -291,6 +324,7 @@ def test_batch_flip_events_ordered_identically():
         BATCH_DELTAS,
         disturbance_gain=24.0,
         collect_events=True,
+        replay_deltas=REPLAY_DELTAS,
     )
     assert check.identical, check.mismatches[:5]
     assert sum(t.flip_count for t in check.batched.locations) > 0
@@ -309,6 +343,7 @@ def test_batch_without_events_matches_counts():
         BATCH_DELTAS,
         disturbance_gain=24.0,
         collect_events=False,
+        replay_deltas=REPLAY_DELTAS,
     )
     assert check.identical, check.mismatches[:5]
 
@@ -327,7 +362,10 @@ def _edge_deltas(dimm, workload, edge):
 
 @pytest.mark.parametrize("edge", ("bottom", "top"))
 def test_batch_at_device_edge_bit_identical(edge):
-    """A window past a device edge is padded, not a per-trial fallback."""
+    """A window past a device edge is padded, not a per-trial fallback.
+
+    The replay plays the plan made at one edge at the other edge.
+    """
     dimm = make_dimm(
         trr=TrrConfig(capacity=1, sample_prob=1e-9), median=3_000.0
     )
@@ -335,20 +373,20 @@ def test_batch_at_device_edge_bit_identical(edge):
         dimm, acts_per_bank=4000, banks=1, seed=9, kind="double_sided"
     )
     deltas = _edge_deltas(dimm, workload, edge)
+    other = _edge_deltas(dimm, workload, "top" if edge == "bottom" else "bottom")
     assert dimm.batch_supported(workload, np.asarray(deltas))[0]
-    check = cross_check(dimm, workload, deltas, disturbance_gain=24.0)
+    check = cross_check(
+        dimm, workload, deltas, disturbance_gain=24.0, replay_deltas=other
+    )
     assert check.identical, check.mismatches[:5]
     rows_total = dimm.spec.geometry.rows
-    for trace in check.batched.locations[1:]:
+    edge_locations = check.batched.locations[1:3] + check.batched.locations[4:]
+    for trace in edge_locations:
         assert trace.flip_count > 0
         assert all(0 <= flip.row < rows_total for flip in trace.flips)
-    # The flips sit at the edge, not only in the stream's interior.
-    edge_row = 1 if edge == "bottom" else rows_total - 2
-    assert any(
-        flip.row == edge_row
-        for trace in check.batched.locations[1:]
-        for flip in trace.flips
-    )
+    # The flips sit at both edges, not only in the stream's interior.
+    flipped = {flip.row for trace in edge_locations for flip in trace.flips}
+    assert {1, rows_total - 2} <= flipped
 
 
 def test_batch_over_memory_cap_runs_in_passes(monkeypatch):
@@ -375,7 +413,10 @@ def test_batch_over_memory_cap_runs_in_passes(monkeypatch):
     monkeypatch.setattr(Dimm, "_hammer_locations", spy)
     vector_twin(dimm).hammer_batch(workload, deltas)
     assert passes == [3, 3, 2]
-    check = cross_check(dimm, workload, deltas, disturbance_gain=24.0)
+    check = cross_check(
+        dimm, workload, deltas, disturbance_gain=24.0,
+        replay_deltas=deltas[::-1] + 5,
+    )
     assert check.identical, check.mismatches[:5]
     assert sum(t.flip_count for t in check.batched.locations) > 0
 

@@ -93,13 +93,22 @@ def test_machine_state_export_adopt_seeds_worker_caches():
                 assert len(hits) == len(control["executor"])
             if control["cells"] is not None:
                 assert len(cold.dimm.cells._cache) == len(control["cells"])
-                # Seeded profiles must agree with the warm machine's.
-                (bank, row, _, _) = control["cells"][0]
-                a = warm.dimm.cells.profile(bank, row)
-                b = cold.dimm.cells.profile(bank, row)
-                assert np.array_equal(a.thresholds, b.thresholds)
-                assert np.array_equal(a.bit_indices, b.bit_indices)
-                assert np.array_equal(a.directions, b.directions)
+                # Flip counting cached thresholds only, and only they are
+                # shipped; a seeded entry completes to the full profile
+                # of the warm machine and of a fresh draw alike.
+                assert set(pack.handle()["entries"]) >= {"cells.thresholds"}
+                assert not {"cells.bits", "cells.dirs"} & set(
+                    pack.handle()["entries"]
+                )
+                fresh = build_machine("comet_lake", "S3", scale=scale, seed=77)
+                for bank, row, _, _ in control["cells"][:8]:
+                    a = warm.dimm.cells.profile(bank, row)
+                    b = cold.dimm.cells.profile(bank, row)
+                    c = fresh.dimm.cells.profile(bank, row)
+                    for prof in (a, b):
+                        assert np.array_equal(prof.thresholds, c.thresholds)
+                        assert np.array_equal(prof.bit_indices, c.bit_indices)
+                        assert np.array_equal(prof.directions, c.directions)
         finally:
             worker_pack.close()
     finally:

@@ -4,6 +4,7 @@ import pytest
 
 from repro import QUICK_SCALE, rhohammer_config
 from repro.exploit.endtoend import canonical_compact_pattern
+from repro.hammer import session as session_module
 from repro.hammer.multithread import MultiThreadSession, ThreadPolicy
 from repro.hammer.session import HammerSession
 
@@ -93,6 +94,31 @@ def test_lock_step_preserves_order_but_starves_the_rate(
     hand-off on every access: still worse than one thread."""
     locked = multi_flips(comet_machine, 4, ThreadPolicy.LOCK_STEP)
     assert locked < single_thread_flips
+
+
+def test_one_thread_covers_the_session_horizon(comet_machine, monkeypatch):
+    """A small budget is stretched to the sessions' one refresh-window
+    horizon: change it, and one thread still issues what the plain
+    session issues."""
+    config = rhohammer_config(nop_count=60, num_banks=3)
+    pattern = canonical_compact_pattern()
+
+    def issued(session):
+        return session.run_pattern(pattern, 6000, activations=1).acts_issued
+
+    single = HammerSession(machine=comet_machine, config=config)
+    threaded = MultiThreadSession(
+        machine=comet_machine,
+        config=config,
+        num_threads=1,
+        policy=ThreadPolicy.LOCK_STEP,
+    )
+    default = issued(single)
+    assert issued(threaded) == default
+    monkeypatch.setattr(session_module, "MIN_REFRESH_WINDOWS", 3.5)
+    longer = issued(single)
+    assert longer > default
+    assert issued(threaded) == longer
 
 
 def test_thread_count_validation(comet_machine):

@@ -10,7 +10,11 @@ from repro import (
     rhohammer_config,
     sweep_pattern,
 )
+from repro.cli import main
+from repro.common.errors import CalibrationError
 from repro.exploit.endtoend import canonical_compact_pattern
+from repro.hammer.session import HammerSession
+from repro.patterns.sweep import SWEEP_MARGIN_ROWS, SWEEP_MIN_STRIDE
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +42,48 @@ def test_sweep_needs_a_scale(comet_machine):
 
 def test_sweep_visits_distinct_locations(comet_sweep):
     assert len(set(comet_sweep.base_rows)) == 12
+
+
+def _most_locations(machine) -> int:
+    rows = machine.dimm.spec.geometry.rows
+    return (rows - 2 * SWEEP_MARGIN_ROWS) // SWEEP_MIN_STRIDE + 1
+
+
+def test_sweep_of_the_most_locations_visits_distinct_rows(comet_machine):
+    """A 65,536-row DIMM holds 1,017 base rows 64 apart inside the
+    margins; a sweep of that many visits each once."""
+    most = _most_locations(comet_machine)
+    assert most == 1017
+    report = sweep_pattern(
+        comet_machine,
+        rhohammer_config(nop_count=60, num_banks=1),
+        canonical_compact_pattern(),
+        RunBudget.trials(most),
+        scale=QUICK_SCALE,
+    )
+    assert len(set(report.base_rows)) == most
+    top = comet_machine.dimm.spec.geometry.rows - SWEEP_MARGIN_ROWS
+    assert SWEEP_MARGIN_ROWS <= min(report.base_rows)
+    assert max(report.base_rows) <= top
+
+
+def test_sweep_past_the_most_locations_is_rejected(comet_machine, monkeypatch):
+    """One location more raises, naming the maximum, before anything is
+    hammered; the CLI prints the error and exits 2."""
+
+    def hammer(*args, **kwargs):
+        raise AssertionError("a rejected sweep hammered")
+
+    monkeypatch.setattr(HammerSession, "run_pattern_batch", hammer)
+    with pytest.raises(CalibrationError, match="at most 1017 "):
+        sweep_pattern(
+            comet_machine,
+            rhohammer_config(nop_count=60, num_banks=1),
+            canonical_compact_pattern(),
+            RunBudget.trials(_most_locations(comet_machine) + 1),
+            scale=QUICK_SCALE,
+        )
+    assert main(["sweep", "--platform", "comet_lake", "--locations", "2000"]) == 2
 
 
 def test_sweep_accumulates_flips(comet_sweep):
