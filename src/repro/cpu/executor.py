@@ -38,10 +38,10 @@ DEFAULT_EXECUTE_CACHE = 64
 def stream_fingerprint(intended_ids: np.ndarray) -> bytes:
     """The digest that names an intended id stream in the executor memo.
 
-    Memo keys (and the shared-memory memo export) are ``(fingerprint, n,
-    config)``.  Hashing a BENCH-scale stream costs a few milliseconds, so
-    callers that replay one stream many times compute this once and pass
-    it to :meth:`HammerExecutor.execute`.
+    Memo keys are ``(fingerprint, n, config)``.  Hashing a BENCH-scale
+    stream costs a few milliseconds, so callers that replay one stream
+    many times compute this once and pass it to
+    :meth:`HammerExecutor.execute`.
     """
     ids = np.ascontiguousarray(intended_ids, dtype=np.int64)
     return hashlib.blake2b(ids, digest_size=16).digest()
@@ -143,33 +143,6 @@ class HammerExecutor:
             if OBS.enabled:
                 OBS.metrics.counter("cpu.executor.cache_misses").inc()
         return result
-
-    # -- memo export/adoption (persistent-pool shared memory) ----------
-    def export_memo(self) -> list[tuple[tuple, ExecutionResult]]:
-        """The memo's entries, oldest first, for shared-memory shipping."""
-        return list(self._cache.items())
-
-    def seed_memo(
-        self, entries: list[tuple[tuple, ExecutionResult]]
-    ) -> int:
-        """Pre-populate the memo with results computed elsewhere.
-
-        Used by pool workers adopting the parent's shared-memory export:
-        the arrays inside each result are read-only views over the shared
-        segment, so seeding costs no copies.  Existing entries win, the
-        LRU capacity is respected (seeding never evicts), and no metrics
-        are emitted — a seeded entry must be telemetry-invisible so that
-        parallel metric snapshots stay bit-identical to serial runs.
-        """
-        added = 0
-        for key, result in entries:
-            if self.cache_size <= 0 or key in self._cache:
-                continue
-            if len(self._cache) >= self.cache_size:
-                break
-            self._cache[key] = result
-            added += 1
-        return added
 
     def _execute(
         self, ids: np.ndarray, n: int, config: HammerKernelConfig

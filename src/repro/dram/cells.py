@@ -147,63 +147,6 @@ class CellPopulation:
         directions = (rng.random(n_weak) < 0.5).astype(np.int8)
         return CellProfile(thresholds, bit_indices, directions)
 
-    # -- threshold export/adoption (persistent-pool shared memory) -----
-    def export_profiles(
-        self, limit: int | None = None
-    ) -> tuple[list[tuple[int, int, int, int]], np.ndarray] | None:
-        """Cached thresholds flattened for shared-memory shipping.
-
-        Returns ``(index, thresholds)`` where ``index`` lists ``(bank,
-        row, start, size)`` slices into the concatenated thresholds, or
-        ``None`` when nothing is cached.  With ``limit`` set, only the
-        most recently used rows are exported.  Bit offsets and
-        directions are not shipped: flip counting never reads them, and
-        :meth:`profile` draws them on demand.
-        """
-        items = list(self._cache.items())
-        if limit is not None and len(items) > limit:
-            items = items[-limit:]
-        if not items:
-            return None
-        index: list[tuple[int, int, int, int]] = []
-        arrays: list[np.ndarray] = []
-        start = 0
-        for (bank, row), entry in items:
-            thresholds = (
-                entry if isinstance(entry, np.ndarray) else entry.thresholds
-            )
-            index.append((bank, row, start, int(thresholds.size)))
-            arrays.append(thresholds)
-            start += int(thresholds.size)
-        return index, np.concatenate(arrays)
-
-    def seed_profiles(
-        self,
-        index: list[tuple[int, int, int, int]],
-        thresholds: np.ndarray,
-    ) -> int:
-        """Pre-populate the cache from an :meth:`export_profiles` payload.
-
-        Profiles are deterministic functions of their location, so a
-        seeded entry holds exactly the thresholds the worker would have
-        drawn itself — adoption is purely an optimisation, and
-        :meth:`profile` completes a seeded entry as it completes any
-        other.  Slices of read-only shared arrays stay read-only.
-        Existing entries win, the LRU bound is respected (seeding never
-        evicts), and no metrics are emitted so parallel snapshots match
-        serial ones.
-        """
-        added = 0
-        for bank, row, start, size in index:
-            key = (bank, row)
-            if key in self._cache:
-                continue
-            if len(self._cache) >= self.max_cached_profiles:
-                break
-            self._cache[key] = thresholds[start:start + size]
-            added += 1
-        return added
-
     def flips_for(self, bank: int, row: int, peak_disturbance: float) -> list[FlipEvent]:
         """Flip events for a row given its peak unrefreshed disturbance."""
         if peak_disturbance <= 0:

@@ -533,20 +533,6 @@ class Dimm:
             weak_cell_density=spec.weak_cell_density,
         )
 
-    # -- weak-cell cache export/adoption (persistent-pool sharing) -----
-    def export_shared_cells(self, limit: int | None = None):
-        """Flattened weak-cell thresholds for shared-memory publication.
-
-        Delegates to :meth:`CellPopulation.export_profiles`; the DIMM is
-        the ownership boundary the engine talks to, so worker adoption
-        never reaches into the population directly.
-        """
-        return self.cells.export_profiles(limit=limit)
-
-    def adopt_shared_cells(self, index, thresholds):
-        """Seed the weak-cell cache from another process's export."""
-        return self.cells.seed_profiles(index, thresholds)
-
     # ------------------------------------------------------------------
     def hammer(
         self,

@@ -8,10 +8,10 @@ reverse engineering, the Figure 5 campaign):
   run" / "how much to run" API every entry point now accepts,
 * :class:`ExecutorBackend` + :func:`create_backend` — pluggable task
   execution (the in-process :class:`SerialBackend` and the multi-core
-  :class:`PersistentPoolBackend` with shared-memory state publication),
-  both with order-stable aggregation, per-task failure capture and
-  graceful serial degradation, such that ``workers=N`` is bit-identical
-  to ``workers=1``.
+  :class:`PersistentPoolBackend`, whose forked workers inherit the
+  caller's warm caches), both with order-stable aggregation, per-task
+  failure capture and graceful serial degradation, such that
+  ``workers=N`` is bit-identical to ``workers=1``.
 """
 
 from repro.engine.budget import BACKEND_CHOICES, ExperimentSpec, RunBudget

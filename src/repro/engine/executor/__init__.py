@@ -5,8 +5,8 @@ Public surface (re-exported from :mod:`repro.engine`):
 * :class:`ExecutorBackend` — the protocol every backend satisfies,
 * :class:`SerialBackend` / :class:`PersistentPoolBackend` — the two
   implementations,
-* :func:`create_backend` — the selection policy (``auto`` routing, host
-  CPU capping, shared-machine wiring),
+* :func:`create_backend` — the selection policy (``auto`` routing and
+  host CPU capping),
 * :class:`PoolReport` / :class:`TaskError` and the
   :func:`default_workers` / :func:`fork_available` host probes.
 """
@@ -21,15 +21,12 @@ from repro.engine.executor.base import (
 from repro.engine.executor.factory import create_backend
 from repro.engine.executor.persistent import PersistentPoolBackend
 from repro.engine.executor.serial import SerialBackend
-from repro.engine.executor.sharedmem import SEGMENT_PREFIX, SharedArrayPack
 
 __all__ = [
     "ExecutorBackend",
     "PersistentPoolBackend",
     "PoolReport",
-    "SEGMENT_PREFIX",
     "SerialBackend",
-    "SharedArrayPack",
     "TaskError",
     "create_backend",
     "default_workers",

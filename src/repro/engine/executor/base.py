@@ -115,8 +115,8 @@ class ExecutorBackend(Protocol):
     returns a :class:`PoolReport` with results **in task order**;
     ``init()`` (optional) builds a per-process context lazily on each
     worker's first task.  ``close()`` releases any long-lived resources
-    (persistent workers, shared memory); backends are context managers so
-    call-sites can write ``with create_backend(spec, budget) as backend``.
+    (persistent workers); backends are context managers so call-sites
+    can write ``with create_backend(budget) as backend``.
     """
 
     name: str

@@ -10,17 +10,11 @@ workload and *how many* workers it really gets:
 * an explicit backend name (``serial``/``persistent``) is honoured
   verbatim, worker count included, so tests and benches can exercise
   real forking even on single-core hosts.
-
-When the caller hands over an :class:`~repro.engine.budget.
-ExperimentSpec`, its machine is wired into the persistent backend as the
-shared-memory publication source.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
-
-from repro.engine.budget import BACKEND_CHOICES, ExperimentSpec, RunBudget
+from repro.engine.budget import BACKEND_CHOICES, RunBudget
 from repro.engine.executor.base import (
     ExecutorBackend,
     default_workers,
@@ -31,29 +25,20 @@ from repro.engine.executor.serial import SerialBackend
 
 
 def create_backend(
-    spec: ExperimentSpec | RunBudget | None = None,
     budget: RunBudget | None = None,
     *,
     workers: int | None = None,
     backend: str | None = None,
-    chunk_size: int | None = None,
-    progress: Callable[[int, int], None] | None = None,
-    machine: Any = None,
 ) -> ExecutorBackend:
     """Build the executor backend a workload should run on.
 
-    Accepts ``(spec, budget)``, just a ``budget`` as the first positional
-    (for consumers like repeated reverse engineering that have no spec),
-    or bare keyword overrides.  Keywords always win over budget fields.
+    ``workers`` and ``backend`` default to the budget's fields; keywords
+    win over them.
     """
-    if isinstance(spec, RunBudget) and budget is None:
-        spec, budget = None, spec
     if workers is None:
         workers = budget.workers if budget is not None else 1
     if backend is None:
         backend = getattr(budget, "backend", None) or "auto"
-    if machine is None and spec is not None:
-        machine = spec.machine
     name = str(backend).lower()
     if name not in BACKEND_CHOICES:
         raise ValueError(
@@ -64,10 +49,5 @@ def create_backend(
         workers = min(workers, default_workers())
         name = "persistent" if workers > 1 and fork_available() else "serial"
     if name == "serial":
-        return SerialBackend(progress=progress)
-    return PersistentPoolBackend(
-        workers=workers,
-        chunk_size=chunk_size,
-        progress=progress,
-        shared_machine=machine,
-    )
+        return SerialBackend()
+    return PersistentPoolBackend(workers=workers)

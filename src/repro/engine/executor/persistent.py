@@ -18,17 +18,16 @@ new task function re-forks them, so one-shot callers need nothing else):
   task order, and merges chunk deltas in ascending start-index order — so
   ``workers=N`` stays bit-identical to ``workers=1`` for results and for
   every non-wall metric;
-* derived machine state (executor memo, weak-cell profiles) is published
-  through ``multiprocessing.shared_memory`` (:mod:`.sharedmem`) so
-  workers adopt read-only views instead of re-deriving it.
+* workers fork inside ``map``, after the caller has warmed the machine's
+  caches (executor memo, weak-cell thresholds), so they inherit those
+  caches; replacement workers fork from the parent too.
 
 Robustness: worker death is detected via process sentinels, the dead
 worker's chunk is re-dispatched to a freshly forked replacement up to
 ``max_retries`` times, and anything still unsettled after that — or after
 a failure of the pool machinery itself — degrades to in-process serial
 execution without losing completed results.  ``close()`` (also run on
-``KeyboardInterrupt`` escaping ``map``) joins or kills every worker and
-unlinks every shared-memory segment.
+``KeyboardInterrupt`` escaping ``map``) joins or kills every worker.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ import os
 import time
 import traceback
 import weakref
-from multiprocessing import resource_tracker
 from typing import Any, Callable, Sequence
 
 from repro.engine.executor.base import (
@@ -50,7 +48,6 @@ from repro.engine.executor.base import (
     run_serial_tasks,
     run_with_batch_span,
 )
-from repro.engine.executor.sharedmem import export_machine_state
 from repro.obs import OBS
 from repro.obs.health import emit_health_event
 
@@ -81,63 +78,42 @@ def _worker_main(worker_id: int, task_recv: Any, result_send: Any) -> None:
     in each task's meta, so the parent replays them in task order.
     """
     state = _POOL_STATE
-    packs = []
-    try:
-        while True:
+    while True:
+        try:
+            msg = task_recv.recv()
+        except (EOFError, OSError):
+            break  # parent went away
+        if msg[0] == "stop":
+            break
+        _, chunk_id, start_index, chunk_tasks = msg
+        buffer = OBS.metrics.delta_buffer()
+        results = []
+        for offset, task in enumerate(chunk_tasks):
+            index = start_index + offset
+            began = time.perf_counter()
             try:
-                msg = task_recv.recv()
-            except (EOFError, OSError):
-                break  # parent went away
-            kind = msg[0]
-            if kind == "stop":
-                break
-            if kind == "adopt":
-                # Seeding shared state is an optimisation only: results
-                # are bit-identical with or without it, so adoption
-                # failures must never take the worker down.
-                try:
-                    from repro.engine.executor.sharedmem import (
-                        adopt_machine_state,
-                    )
-
-                    pack = adopt_machine_state(state.get("machine"), msg[1])
-                    if pack is not None:
-                        packs.append(pack)
-                except Exception:  # noqa: BLE001
-                    pass
-                continue
-            _, chunk_id, start_index, chunk_tasks = msg
-            buffer = OBS.metrics.delta_buffer()
-            results = []
-            for offset, task in enumerate(chunk_tasks):
-                index = start_index + offset
-                began = time.perf_counter()
-                try:
-                    if state.get("init") is not None and "ctx" not in state:
-                        state["ctx"] = state["init"]()
-                    ok, payload = True, state["fn"](state.get("ctx"), task)
-                except Exception:  # noqa: BLE001 - surfaced via TaskError
-                    ok, payload = False, traceback.format_exc(limit=8)
-                meta: dict[str, Any] = {
-                    "dur_s": time.perf_counter() - began,
-                    "worker": os.getpid(),
-                }
-                if OBS.tracer.enabled:
-                    meta["events"] = OBS.tracer.take_child_events()
-                results.append((index, ok, payload, meta))
-            chunk_meta: dict[str, Any] = {"start": start_index}
-            delta = buffer.flush()
-            if delta is not None:
-                chunk_meta["metrics"] = delta
-            try:
-                result_send.send(
-                    ("done", worker_id, chunk_id, results, chunk_meta)
-                )
-            except (BrokenPipeError, OSError):
-                break
-    finally:
-        for pack in packs:
-            pack.close()
+                if state.get("init") is not None and "ctx" not in state:
+                    state["ctx"] = state["init"]()
+                ok, payload = True, state["fn"](state.get("ctx"), task)
+            except Exception:  # noqa: BLE001 - surfaced via TaskError
+                ok, payload = False, traceback.format_exc(limit=8)
+            meta: dict[str, Any] = {
+                "dur_s": time.perf_counter() - began,
+                "worker": os.getpid(),
+            }
+            if OBS.tracer.enabled:
+                meta["events"] = OBS.tracer.take_child_events()
+            results.append((index, ok, payload, meta))
+        chunk_meta: dict[str, Any] = {"start": start_index}
+        delta = buffer.flush()
+        if delta is not None:
+            chunk_meta["metrics"] = delta
+        try:
+            result_send.send(
+                ("done", worker_id, chunk_id, results, chunk_meta)
+            )
+        except (BrokenPipeError, OSError):
+            break
 
 
 class _Worker:
@@ -152,7 +128,7 @@ class _Worker:
         self.assignment: tuple[int, int] | None = None  # [start, stop)
 
 
-def _finalize_pool(workers: list[_Worker], packs: list[Any]) -> None:
+def _finalize_pool(workers: list[_Worker]) -> None:
     """Last-resort cleanup if a backend is garbage-collected unclosed."""
     for worker in workers:
         try:
@@ -162,12 +138,6 @@ def _finalize_pool(workers: list[_Worker], packs: list[Any]) -> None:
         except Exception:  # pragma: no cover - interpreter shutdown
             pass
     workers.clear()
-    for pack in packs:
-        try:
-            pack.unlink()
-        except Exception:  # pragma: no cover - interpreter shutdown
-            pass
-    packs.clear()
 
 
 class PersistentPoolBackend:
@@ -188,7 +158,6 @@ class PersistentPoolBackend:
         chunk_size: int | None = None,
         progress: Callable[[int, int], None] | None = None,
         max_retries: int = DEFAULT_MAX_RETRIES,
-        shared_machine: Any = None,
     ) -> None:
         if workers < 1:
             raise ValueError(
@@ -198,16 +167,11 @@ class PersistentPoolBackend:
         self.chunk_size = chunk_size
         self.progress = progress
         self.max_retries = max_retries
-        self.shared_machine = shared_machine
         self._workers: list[_Worker] = []
-        self._packs: list[Any] = []
         self._fn: Callable[[Any, Any], Any] | None = None
         self._init: Callable[[], Any] | None = None
-        self._last_control: dict[str, Any] | None = None
         self._task_s: float | None = None
-        self._finalizer = weakref.finalize(
-            self, _finalize_pool, self._workers, self._packs
-        )
+        self._finalizer = weakref.finalize(self, _finalize_pool, self._workers)
 
     # ------------------------------------------------------------------
     def worker_pids(self) -> list[int]:
@@ -252,21 +216,13 @@ class PersistentPoolBackend:
             )
         except BaseException:
             # KeyboardInterrupt & friends: tear everything down before
-            # propagating so no worker or /dev/shm segment outlives us.
+            # propagating so no worker outlives us.
             self.close()
             raise
 
     def close(self) -> None:
-        """Stop workers (join, escalate to kill) and unlink shared memory."""
+        """Stop workers (join, escalate to kill)."""
         self._shutdown_workers()
-        for pack in self._packs:
-            try:
-                pack.unlink()
-                emit_health_event("shm_unlink")
-            except Exception:  # noqa: BLE001 - best-effort teardown
-                pass
-        self._packs.clear()
-        self._last_control = None
         if _POOL_STATE.get("fn") is self._fn:
             _POOL_STATE.clear()
         # Pool teardown is a span-buffer boundary: everything replayed
@@ -292,7 +248,6 @@ class PersistentPoolBackend:
         self._fn, self._init = fn, init
         while len(self._workers) < workers:
             self._workers.append(self._spawn())
-        self._publish_shared_state()
 
     def _spawn(self) -> _Worker:
         # Flush buffered spans before forking: children inherit the
@@ -304,14 +259,7 @@ class PersistentPoolBackend:
         # instance may have overwritten the module global since our last
         # spawn, and replacement workers must see our closure, not theirs.
         _POOL_STATE.clear()
-        _POOL_STATE.update(
-            fn=self._fn, init=self._init, machine=self.shared_machine
-        )
-        # One resource tracker for the parent and every worker, so the
-        # segments workers attach stay registered to the parent alone: a
-        # worker forked while none runs starts its own on first attach,
-        # which unlinks the segment when the worker exits.
-        resource_tracker.ensure_running()
+        _POOL_STATE.update(fn=self._fn, init=self._init)
         ctx = multiprocessing.get_context("fork")
         task_recv, task_send = ctx.Pipe(duplex=False)
         result_recv, result_send = ctx.Pipe(duplex=False)
@@ -326,34 +274,7 @@ class PersistentPoolBackend:
         emit_health_event(
             "worker_spawn", worker=len(self._workers), pid=proc.pid
         )
-        worker = _Worker(proc, task_send, result_recv)
-        if self._last_control is not None:
-            try:
-                worker.task_conn.send(("adopt", self._last_control))
-                emit_health_event("shm_adopt", pid=proc.pid)
-            except (BrokenPipeError, OSError):
-                pass
-        return worker
-
-    def _publish_shared_state(self) -> None:
-        if self.shared_machine is None:
-            return
-        try:
-            exported = export_machine_state(self.shared_machine)
-        except Exception:  # noqa: BLE001 - sharing is an optimisation
-            return
-        if exported is None:
-            return
-        control, pack = exported
-        self._packs.append(pack)
-        self._last_control = control
-        emit_health_event("shm_export", segments=len(self._packs))
-        for worker in self._workers:
-            try:
-                worker.task_conn.send(("adopt", control))
-                emit_health_event("shm_adopt", pid=worker.proc.pid)
-            except (BrokenPipeError, OSError):
-                pass  # death handled on next dispatch
+        return _Worker(proc, task_send, result_recv)
 
     def _shutdown_workers(self) -> None:
         for worker in self._workers:

@@ -21,15 +21,7 @@ class SerialBackend:
     """Runs every task in the calling process, in task order."""
 
     name = "serial"
-
-    def __init__(
-        self,
-        workers: int = 1,
-        chunk_size: int | None = None,
-        progress: Callable[[int, int], None] | None = None,
-    ) -> None:
-        self.workers = 1
-        self.progress = progress
+    workers = 1
 
     def map(
         self,
@@ -39,9 +31,7 @@ class SerialBackend:
     ) -> PoolReport:
         tasks = list(tasks)
         return run_with_batch_span(
-            lambda: run_serial_tasks(fn, tasks, init, progress=self.progress),
-            len(tasks),
-            1,
+            lambda: run_serial_tasks(fn, tasks, init), len(tasks), 1
         )
 
     def close(self) -> None:

@@ -10,9 +10,9 @@ the operational layer:
   rate).  The tracer owns one when configured with ``health_s`` and
   emits its payloads as id-free ``{"ev": "health", ...}`` records;
 * :func:`emit_health_event` — structural fleet events (worker
-  spawn/death, chunk retry, degraded-serial fallback, shared-memory
-  export/adopt/unlink, slow chunks) recorded as typed ``health`` records
-  with matching ``health.<kind>`` counters;
+  spawn/death, chunk retry, degraded-serial fallback, slow chunks)
+  recorded as typed ``health`` records with matching ``health.<kind>``
+  counters;
 * :class:`FleetState` — folds health records back into a live per-worker
   view for ``rhohammer status`` / ``rhohammer top``;
 * :func:`summarize_health` — the per-run rollup (peak RSS, event counts,
@@ -50,9 +50,6 @@ EVENT_KINDS = (
     "worker_death",
     "chunk_retry",
     "degraded_serial",
-    "shm_export",
-    "shm_adopt",
-    "shm_unlink",
     "slow_chunk",
 )
 

@@ -322,10 +322,12 @@ class MetricsRegistry:
         old_c = mark["counters"]
         old_g = mark["gauges"]
         old_h = mark["histograms"]
+        # Instruments new since the mark ship even at zero, so a merged
+        # snapshot holds every instrument a serial run creates.
         counters = {
             k: c.value - old_c.get(k, 0)
             for k, c in self._counters.items()
-            if c.value != old_c.get(k, 0)
+            if k not in old_c or c.value != old_c[k]
         }
         gauges = {
             k: g.value
@@ -335,7 +337,7 @@ class MetricsRegistry:
         histograms = {}
         for k, h in self._histograms.items():
             prev = old_h.get(k, (0, 0.0, ()))
-            if h.count == prev[0]:
+            if k in old_h and h.count == prev[0]:
                 continue
             prev_buckets = prev[2]
             histograms[k] = {

@@ -186,7 +186,7 @@ class FuzzingCampaign:
             trials_per_pattern=self.trials_per_pattern,
             seed_name=self.seed_name,
         ) as span:
-            with create_backend(spec, budget) as backend:
+            with create_backend(budget) as backend:
                 batch = backend.map(run_trial, tasks, init=spec.session)
 
             total = 0

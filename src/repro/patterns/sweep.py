@@ -148,7 +148,7 @@ def sweep_pattern(
         batch_locations=batch_size,
         seed_name=seed_name,
     ) as span:
-        with create_backend(spec, budget) as backend:
+        with create_backend(budget) as backend:
             batch = backend.map(run_chunk, chunks, init=spec.session)
         location_results = []
         for chunk_rows, result in zip(chunks, batch.results):

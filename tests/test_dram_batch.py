@@ -401,12 +401,7 @@ def _simulation_metrics(snapshot):
     "workers,backend", ((1, "serial"), (2, "persistent"))
 )
 def test_batched_sweep_metrics_match_unbatched(workers, backend):
-    """Chunked dispatch leaves the merged simulation telemetry unchanged.
-
-    Compared at matching worker counts: how worker merging treats
-    per-process cache gauges and zero-valued counters is a (pre-existing)
-    property of the pool, not of batching.
-    """
+    """Chunked dispatch leaves the merged simulation telemetry unchanged."""
     with telemetry_session(metrics=True) as obs:
         _sweep(1, workers=workers, backend=backend)
         unbatched_snap = _simulation_metrics(obs.metrics.snapshot())

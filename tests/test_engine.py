@@ -10,7 +10,7 @@ rather than lose results.
 
 import pytest
 
-from repro import QUICK_SCALE, RunBudget, rhohammer_config
+from repro import QUICK_SCALE, RunBudget, build_machine, rhohammer_config
 from repro.common.errors import CalibrationError
 from repro.engine import (
     ExperimentSpec,
@@ -264,27 +264,35 @@ def _no_wall(section):
     }
 
 
-def test_persistent_metric_snapshots_match_serial(comet_machine):
-    """The merged OBS snapshot — counters AND float histogram sums — must
-    be bit-identical between serial and the persistent pool at every
-    worker count (journal replay reproduces the exact serial
-    accumulation order, and phase-batched hot paths flush within task
-    boundaries so chunking never splits a batch)."""
-    snapshots = []
-    for backend, workers in (
-        ("serial", 1), ("persistent", 2), ("persistent", 3)
-    ):
-        OBS.configure(metrics=True)
-        try:
-            _fuzz_report(comet_machine, workers=workers, backend=backend)
-            snapshots.append(OBS.metrics.snapshot())
-        finally:
-            OBS.shutdown()
-    serial = snapshots[0]
-    for parallel in snapshots[1:]:
-        assert _no_wall(serial["counters"]) == _no_wall(parallel["counters"])
-        assert _no_wall(serial["histograms"]) == \
-            _no_wall(parallel["histograms"])
+def test_persistent_metric_snapshots_match_serial():
+    """The merged OBS snapshot — counters, gauges AND float histogram
+    sums — must be bit-identical between serial and the persistent pool
+    at every worker count, for fuzzing and sweeping alike (journal replay
+    reproduces the exact serial accumulation order, phase-batched hot
+    paths flush within task boundaries so chunking never splits a batch,
+    and instruments a worker creates at zero still ship).  Every leg
+    hammers a fresh machine, so no leg inherits another's warm caches."""
+
+    def sweep(machine, workers, backend):
+        _sweep_report(machine, workers, backend, batch_locations=2)
+
+    for run in (_fuzz_report, sweep):
+        snapshots = []
+        for backend, workers in (
+            ("serial", 1), ("persistent", 2), ("persistent", 3)
+        ):
+            machine = build_machine("comet_lake", "S3", scale=QUICK_SCALE)
+            OBS.configure(metrics=True)
+            try:
+                run(machine, workers=workers, backend=backend)
+                snapshots.append(OBS.metrics.snapshot())
+            finally:
+                OBS.shutdown()
+        serial = snapshots[0]
+        for parallel in snapshots[1:]:
+            for section in ("counters", "gauges", "histograms"):
+                assert _no_wall(serial[section]) == \
+                    _no_wall(parallel[section])
 
 
 # ----------------------------------------------------------------------

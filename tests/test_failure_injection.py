@@ -77,16 +77,13 @@ def test_outlier_storm_does_not_create_phantom_bank_functions():
 # ----------------------------------------------------------------------
 # Worker-pool crash robustness (persistent executor backend)
 # ----------------------------------------------------------------------
-import glob
 import os
 import signal
+import subprocess
+import sys
+import textwrap
 
 from repro.engine import PersistentPoolBackend, SerialBackend
-from repro.engine.executor import SEGMENT_PREFIX
-
-
-def _shm_segments():
-    return set(glob.glob(f"/dev/shm/{SEGMENT_PREFIX}*"))
 
 
 def _assert_reaped(pids):
@@ -112,7 +109,6 @@ def test_worker_sigkill_once_is_retried_and_completes(tmp_path):
             os.kill(os.getpid(), signal.SIGKILL)
         return task * 10
 
-    before = _shm_segments()
     with PersistentPoolBackend(workers=3, chunk_size=2) as backend:
         report = backend.map(crash_once, range(12))
         pids = backend.worker_pids()
@@ -121,7 +117,6 @@ def test_worker_sigkill_once_is_retried_and_completes(tmp_path):
     assert report.retries >= 1
     assert not report.degraded
     _assert_reaped(pids)
-    assert _shm_segments() <= before
 
 
 def test_worker_sigkill_always_degrades_to_serial(tmp_path):
@@ -134,7 +129,6 @@ def test_worker_sigkill_always_degrades_to_serial(tmp_path):
             os.kill(os.getpid(), signal.SIGKILL)
         return task * 10
 
-    before = _shm_segments()
     with PersistentPoolBackend(workers=3, chunk_size=2) as backend:
         report = backend.map(crash_always, range(12))
         pids = backend.worker_pids()
@@ -142,7 +136,6 @@ def test_worker_sigkill_always_degrades_to_serial(tmp_path):
     assert report.degraded
     assert any("degraded" in note for note in report.notes())
     _assert_reaped(pids)
-    assert _shm_segments() <= before
 
 
 def test_worker_sigkill_keeps_trace_file_uncorrupted(tmp_path):
@@ -234,9 +227,9 @@ def test_raising_task_is_captured_not_fatal():
     assert not report.degraded
 
 
-def test_interrupt_mid_batch_tears_down_pool_and_shm():
-    """KeyboardInterrupt while a batch is in flight must still unlink
-    every shared-memory segment and reap every worker."""
+def test_interrupt_mid_batch_tears_down_pool():
+    """KeyboardInterrupt while a batch is in flight must still reap every
+    worker."""
     def interrupting_progress(done, total):
         if done >= 2:
             raise KeyboardInterrupt
@@ -244,7 +237,6 @@ def test_interrupt_mid_batch_tears_down_pool_and_shm():
     def slow(ctx, task):
         return task
 
-    before = _shm_segments()
     backend = PersistentPoolBackend(
         workers=3, chunk_size=1, progress=interrupting_progress
     )
@@ -252,4 +244,43 @@ def test_interrupt_mid_batch_tears_down_pool_and_shm():
         backend.map(slow, range(30))
     pids = backend.worker_pids()
     assert pids == []  # close() already ran via the BaseException guard
-    assert _shm_segments() <= before
+
+
+_TWO_POOLS = textwrap.dedent(
+    """
+    from repro import QUICK_SCALE, RunBudget, build_machine, rhohammer_config
+    from repro.exploit.endtoend import canonical_compact_pattern
+    from repro.patterns.sweep import sweep_pattern
+
+    machine = build_machine("comet_lake", "S3", scale=QUICK_SCALE)
+    config = rhohammer_config(nop_count=60, num_banks=3)
+    for name in ("first", "second"):
+        budget = RunBudget(
+            max_trials=8, workers=2, backend="persistent", batch_locations=2
+        )
+        sweep_pattern(
+            machine, config, canonical_compact_pattern(), budget,
+            QUICK_SCALE, seed_name=name,
+        )
+    """
+)
+
+
+def test_consecutive_pooled_sweeps_exit_cleanly():
+    """Two pooled sweeps on one machine in one process.
+
+    The second pool forks from a parent whose caches the first sweep
+    warmed; the process must still exit 0 and print no traceback, from
+    the workers or at interpreter exit.
+    """
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", _TWO_POOLS],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr, proc.stderr

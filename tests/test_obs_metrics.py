@@ -102,6 +102,9 @@ def test_delta_merge_reproduces_serial_snapshot():
         child.counter("acts").inc(contribution[0])
         child.histogram("flips").observe(contribution[1])
         child.gauge("occupancy").set(contribution[1])
+        # Instruments a worker creates but never moves still ship.
+        child.counter("escaped").inc(0)
+        child.histogram("empty").observe_many([])
         deltas.append(child.delta_since(mark))
 
     # The serial run does the same work in task order.
@@ -109,6 +112,8 @@ def test_delta_merge_reproduces_serial_snapshot():
         serial.counter("acts").inc(contribution[0])
         serial.histogram("flips").observe(contribution[1])
         serial.gauge("occupancy").set(contribution[1])
+        serial.counter("escaped").inc(0)
+        serial.histogram("empty").observe_many([])
 
     for delta in deltas:  # parent merges in task order
         parent.merge(delta)
