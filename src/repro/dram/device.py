@@ -1,8 +1,8 @@
 """The DIMM device: executes activation streams and reports bit flips.
 
 The hammer pipeline hands each bank a *timestamped activation stream*
-(issue-order row indices plus times).  The device walks the stream one
-refresh interval (tREFI) at a time:
+(issue-order row indices plus times).  Its meaning is a walk over the
+stream one refresh interval (tREFI) at a time:
 
 1. disturbance from each ACT is added to the +/-1 and +/-2 neighbour rows,
 2. the TRR sampler observes the interval's ACTs and, at the REF, refreshes
@@ -12,36 +12,43 @@ refresh interval (tREFI) at a time:
 4. before any reset, the running peak unrefreshed disturbance per victim is
    recorded; at the end the cell population converts peaks into flips.
 
-This is the simulated gate every fuzz/sweep/exploit trial funnels through,
-so the inner loop is array code.  Per-bank state lives in NumPy arrays
-over the compact victim window (:class:`_BankWindow`).  Every TRR sampler
-REF target (:meth:`TrrSampler.plan <repro.dram.trr.TrrSampler.plan>`),
-pTRR and RAA target is decided before the loop by a :class:`_BankPlan`,
-in window coordinates, where it holds for every row shift of the stream;
-each call then scales the plan's ACT histograms into deposits and adds
-its locations' periodic-refresh ranges.  The loop runs four ordered slice
-adds, a masked peak update and the interval's zeroing stores, and flips
-are counted in one vectorised pass
-(:meth:`~repro.dram.cells.CellPopulation.flip_counts_for`).  The original
-per-row sequential loop survives in :mod:`repro.dram.reference` and
+:class:`~repro.dram.reference.ReferenceDimm` keeps that walk, row by row
+and ACT by ACT.  This module computes its outcome without walking the
+intervals, because this is the simulated gate every fuzz/sweep/exploit
+trial funnels through.  Every TRR sampler REF target
+(:meth:`TrrSampler.plan <repro.dram.trr.TrrSampler.plan>`), pTRR and RAA
+target is decided up front by a :class:`_BankPlan`, in the coordinates of
+the compact victim window, where it holds for every row shift of the
+stream.  The plan sorts the stream's disturbance contributions by victim
+column, interval and aggressor, and cuts each column's run at its TRR,
+pTRR and RFM resets into *segments*.  A victim's level only grows between
+two resets, so its peak is its largest segment sum.  A call splits the
+segments its locations' periodic refreshes cut, takes every location's
+peaks at once (:meth:`_BankPlan.play`), and counts flips in one vectorised
+pass (:meth:`~repro.dram.cells.CellPopulation.flip_counts_for`).
 :mod:`repro.dram.equivalence` proves the two paths bit-identical (flips,
 TRR refreshes and OBS metrics) across patterns, TRR vendor profiles, pTRR
 and RFM.
 
-Vectorisation invariants the array code relies on (documented in
+Invariants the array code relies on (documented in
 ``docs/PERFORMANCE.md``):
 
-* all disturbance couplings are positive, so within one interval a
-  victim's level is monotone and its peak is the end-of-interval value;
-* per victim, contributions arrive in ascending-aggressor order
-  (a = v-2, v-1, v+1, v+2), which the ordered slice adds reproduce so
-  float accumulation order matches the reference exactly;
+* all disturbance couplings are positive, so between two resets a
+  victim's level only grows: its peak is a segment's sum, and float
+  addition being monotone, no piece of a segment sums above the whole;
+* per victim, contributions arrive by interval and, within an interval,
+  in ascending-aggressor order (a = v-2, v-1, v+1, v+2); every segment is
+  summed left to right in that order with ``np.add.accumulate``, so float
+  accumulation matches the reference exactly (``np.add.reduce`` would
+  not: over a 1-D or one-column array NumPy sums pairwise);
+* the walk's strict ``level > peak`` keeps the first of tied peaks, so a
+  victim's peak window lies in the earliest piece that attains its peak;
 * refreshes only zero disturbance (idempotent) and all of an interval's
   refreshes follow its deposit, so the order of its TRR / pTRR / RFM
   target and periodic refreshes cannot change the final state;
 * every TRR/pTRR/RFM/refresh decision depends only on the stream and
   name-derived RNG streams, never on disturbance, so all of them can be
-  made before the disturbance loop runs;
+  made before any disturbance is summed;
 * every disturbed row lies within +/-2 of some aggressor, so the compact
   window [min(rows)-2, max(rows)+2] covers all state.  The window is never
   clamped: at a device edge it reaches up to two rows past it, and those
@@ -76,15 +83,25 @@ from repro.obs import OBS, metric_key
 #: +/-2 coupling reflects the Half-Double style far-aggressor effect.
 NEIGHBOUR_WEIGHTS = {1: 1.0, 2: 0.18}
 
-#: The ordered slice adds of one interval's deposit, as (distance,
-#: aggressor below the victim).  Per victim v the reference loop applies
-#: contributions in ascending-aggressor order (v-2, v-1, v+1, v+2); the
-#: slice adds take below-victim aggressors by descending distance, then
-#: above-victim ones by ascending distance, to reproduce that float
-#: accumulation order bit-for-bit.
-_SLICE_ADDS = tuple(
+#: One interval's contributions to a victim v, as (distance, aggressor
+#: below the victim), in the reference loop's ascending-aggressor order
+#: (v-2, v-1, v+1, v+2): below-victim aggressors by descending distance,
+#: then above-victim ones by ascending distance.  Summing them in this
+#: order reproduces the reference's float accumulation bit-for-bit.
+_CONTRIBUTION_ORDER = tuple(
     (distance, True) for distance in sorted(NEIGHBOUR_WEIGHTS, reverse=True)
 ) + tuple((distance, False) for distance in sorted(NEIGHBOUR_WEIGHTS))
+
+#: Per :data:`_CONTRIBUTION_ORDER` entry, the victim's offset from its
+#: aggressor and the coupling weight.
+_VICTIM_OFFSETS = np.array(
+    [distance if below else -distance
+     for distance, below in _CONTRIBUTION_ORDER],
+    dtype=np.int64,
+)
+_WEIGHTS = np.array(
+    [NEIGHBOUR_WEIGHTS[distance] for distance, _ in _CONTRIBUTION_ORDER]
+)
 
 #: Victim offsets of a refreshed aggressor.
 _NEIGHBOUR_OFFSETS = np.array(
@@ -92,9 +109,9 @@ _NEIGHBOUR_OFFSETS = np.array(
 )
 
 #: Cells (intervals x window rows) per plan block.  A block's ACT
-#: histogram, its scaled contributions and the sampler's observed-ACT
-#: histogram each hold this many values, which keeps them in cache; a
-#: window wider than this gets one interval per block.
+#: histogram and the sampler's observed-ACT histogram each hold this many
+#: values, which keeps them in cache; a window wider than this gets one
+#: interval per block.
 PLAN_BLOCK_CELLS = 1 << 15
 
 #: ACTs per plan block (unless one interval alone holds more), which
@@ -142,11 +159,25 @@ class HammerResult:
     trr_refreshes: int
 
 
-#: Ceiling on one bank's state matrices in one pass — disturbance, peak
-#: and (with telemetry) peak-window, each ``locations x span x 8`` bytes.
-#: :meth:`Dimm.hammer_batch` runs a larger batch as several passes, each
-#: with as many locations as fit (at least one).
+#: Ceiling on one bank's per-location play arrays in one pass
+#: (:func:`_location_bytes` per location).  :meth:`Dimm.hammer_batch`
+#: runs a larger batch as several passes, each with as many locations as
+#: fit (at least one).
 BATCH_MATRIX_BYTES_MAX = 128 * 1024 * 1024
+
+
+def _location_bytes(span: int, intervals: int, refs_per_window: int) -> int:
+    """What one location adds to a bank's play (:meth:`_BankPlan.play`).
+
+    Per window column it holds about eight 8-byte values (the column's
+    row, refresh slot and count, its peak and peak piece, temporaries),
+    and as many per column and periodic refresh in the stream (the split
+    search).  Whatever depends on the stream alone is the plan's, held
+    once for every location.
+    """
+    refreshes = -(-intervals // refs_per_window)
+    return 8 * 8 * span * (1 + refreshes)
+
 
 #: The row shifts of a one-location call.
 _NO_SHIFT = np.zeros(1, dtype=np.int64)
@@ -160,9 +191,12 @@ class StreamPlan:
     :meth:`Dimm.hammer_batch` call that replays the same stream: the first
     call fills it and later calls reuse it instead of planning again.
     Every such call must play the same per-bank streams up to a uniform
-    row shift; its gain, row shifts and event collection may differ.  A
-    bank planned while telemetry was off is planned again the first time
-    a call needs its sampler tallies.
+    row shift; its gain, row shifts and event collection may differ.
+    Each bank's plan keeps its segment sums for the last gain played, so
+    a replay at that gain only splits segments for its own locations,
+    and a replay at another gain sums the segments again.  A bank
+    planned while telemetry was off is planned again the first time a
+    call needs its sampler tallies.
     """
 
     __slots__ = ("banks",)
@@ -172,25 +206,31 @@ class StreamPlan:
 
 
 class _BankPlan:
-    """Every decision of one bank stream's interval loop, made up front.
+    """Every decision of one bank stream's play, made up front.
 
     TRR sampling and REF ranking, pTRR draws and RAA trips depend only on
     the ACT stream and name-derived RNG streams, never on disturbance, so
-    they are all made before :meth:`_BankWindow.run` plays the sequential
-    disturbance recurrence.  Everything here is in window coordinates
-    (column ``c`` is device row ``lo + c``, with ``lo`` two rows below the
-    stream's lowest row), where it is invariant under a uniform row shift
-    and independent of the gain: one plan serves every location of a call
-    and every later replay of the stream (:class:`StreamPlan`).  It holds
-    O(ACTs) values, per block of intervals (at most
-    :data:`PLAN_BLOCK_CELLS` window cells and :data:`PLAN_BLOCK_ACTS`
-    ACTs, at least one interval):
+    they are all made before :meth:`play` computes the peaks.  Everything
+    here is in window coordinates (column ``c`` is device row ``lo + c``,
+    with ``lo`` two rows below the stream's lowest row), where it is
+    invariant under a uniform row shift: one plan serves every location of
+    a call and every later replay of the stream (:class:`StreamPlan`).
 
-    * the block's ACT histogram, as its non-zero ``interval * span +
-      column`` cells and their counts;
-    * per interval, the window columns whose disturbance its REF, pTRR
-      and RFM refreshes reset (all follow the deposit, and zeroing is
-      idempotent, so their order does not matter);
+    The stream's ACT histogram is built block by block (at most
+    :data:`PLAN_BLOCK_CELLS` window cells and :data:`PLAN_BLOCK_ACTS`
+    ACTs per block, at least one interval), then turned into the
+    disturbance *contributions* it deposits, one per (victim column,
+    interval, :data:`_CONTRIBUTION_ORDER` entry) with an ACT behind it,
+    sorted in that order: the order in which each victim's level
+    accumulates.  The plan keeps
+
+    * ``keys``, each contribution's ``column * intervals + interval``;
+    * ``scaled``, its ``weight * acts`` (the play multiplies by the gain);
+    * ``seg_start``, where each *segment* starts: a column's first
+      contribution, and the first one after each of its TRR, pTRR and RFM
+      resets (a reset follows its interval's deposit), plus the end;
+    * for the last gain played, each segment's running sums and each
+      column's peak segment;
     * per interval, its ACTs and TRR REF targets, and the stream's
       refresh count and sampler tallies, for telemetry.
     """
@@ -214,6 +254,7 @@ class _BankPlan:
             1, dimm.spec.geometry.rows // self.refs_per_window
         )
         n = int(times[-1] // self.t_refi) + 1
+        self.intervals = n
         bounds = np.zeros(n + 1, dtype=np.int64)
         bounds[1:] = np.searchsorted(
             times, np.arange(1, n + 1) * self.t_refi
@@ -233,8 +274,7 @@ class _BankPlan:
             )
         self.trr_refreshes = 0
         self.ref_counts: list[int] = []
-        #: ``(first interval, end interval, first cell, end cell)``.
-        self.blocks: list[tuple[int, int, int, int]] = []
+        # The histogram's non-zero ``interval * span + column`` cells.
         cells: list[np.ndarray] = []
         counts: list[np.ndarray] = []
         # Aggressors whose neighbours are refreshed, by interval.
@@ -245,7 +285,6 @@ class _BankPlan:
         # and faulted in again each time.
         per_block = max(1, PLAN_BLOCK_CELLS // span)
         hist = np.zeros(min(per_block, n) * span, dtype=np.int64)
-        n_cells = 0
         first = 0
         while first < n:
             end = min(n, first + per_block)
@@ -266,11 +305,9 @@ class _BankPlan:
             # Scanning a boolean mask beats scanning the int64 counts
             # several times over when many cells are non-zero.
             nonzero = np.flatnonzero(hist != 0)
-            cells.append(nonzero)
+            cells.append(nonzero + first * span)
             counts.append(hist[nonzero])
             hist[nonzero] = 0
-            self.blocks.append((first, end, n_cells, n_cells + nonzero.size))
-            n_cells += nonzero.size
             if dimm.ptrr.enabled:
                 hit = dimm.ptrr.refresh_mask(block_rows.size, ptrr_rng)
                 agg_interval.append(interval_of[hit])
@@ -296,211 +333,262 @@ class _BankPlan:
                     - lo
                 )
             first = end
-        self.cells = np.concatenate(cells)
-        self.counts = np.concatenate(counts)
+        del hist  # freed before the contributions are built
         # The window reaches two rows past every aggressor, so every
         # refreshed victim is a window column.
+        resets = np.zeros(0, dtype=np.int64)
         if agg_col:
-            interval = np.repeat(
-                np.concatenate(agg_interval), _NEIGHBOUR_OFFSETS.size
-            )
-            victims = (
+            resets = (
                 np.concatenate(agg_col)[:, None] + _NEIGHBOUR_OFFSETS
-            ).ravel()
-            # Each source is already in interval order, so the stable
-            # (merge) sort only interleaves a few sorted runs.
-            order = np.argsort(interval, kind="stable")
-            self.victims = victims[order]
-            interval = interval[order]
-        else:
-            self.victims = interval = np.zeros(0, dtype=np.int64)
-        #: ``victims[victim_bounds[t]:victim_bounds[t + 1]]`` are interval
-        #: ``t``'s refreshed columns.
-        self.victim_bounds: list[int] = np.searchsorted(
-            interval, np.arange(n + 1, dtype=np.int64)
-        ).tolist()
+            ) * n + np.concatenate(agg_interval)[:, None]
+        self._segment(np.concatenate(cells), np.concatenate(counts), resets)
+        self.gain: float | None = None
+        self.running: np.ndarray | None = None
         self.sampler = sampler if telemetry else None
         self.tallies = sampler.capture_tallies() if telemetry else None
 
-
-class _BankWindow:
-    """Per-bank hammer state for one or more base-row-shifted locations.
-
-    Row ``i`` of each ``(locations, span)`` array is location ``i``'s
-    state over its compact victim window; column ``c`` is device row
-    ``los[i] + c``.  The per-trial loop is the one-location case.  The
-    locations' streams differ only by a uniform row shift, so one
-    :class:`_BankPlan` drives all of them and every location's
-    per-victim float accumulation order (hence every bit of its state)
-    matches a per-trial run exactly.  ``peak_window`` (the interval where
-    each victim's running peak was attained) is materialised only when
-    telemetry is enabled.
-    """
-
-    __slots__ = ("los", "disturbance", "peak", "peak_window")
-
-    def __init__(
-        self, los: np.ndarray, span: int, track_windows: bool
+    def _segment(
+        self, cells: np.ndarray, counts: np.ndarray, resets: np.ndarray
     ) -> None:
-        self.los = los  # per-location device row of window column 0
-        n = int(los.size)
-        self.disturbance = np.zeros((n, span), dtype=np.float64)
-        self.peak = np.zeros((n, span), dtype=np.float64)
-        self.peak_window = (
-            np.zeros((n, span), dtype=np.int64) if track_windows else None
-        )
+        """Sort the histogram's contributions and cut them into segments.
 
-    def run(self, plan: _BankPlan, gain: float, trace_bank=None) -> None:
-        """Play a plan: deposit, record peaks, zero, interval by interval.
-
-        Adding ``(weight * 0) * gain == 0.0`` for absent aggressors is a
-        bitwise no-op on non-negative disturbance, and an interval
-        without ACTs cannot raise a peak, so only its zeroing runs.  With
-        ``trace_bank`` set, each interval emits its ``dram.window`` point
-        as its block is played.
+        ``resets`` holds a ``column * intervals + interval`` key per TRR,
+        pTRR and RFM victim reset.  The window reaches two rows past every
+        aggressor, so every contribution's victim is a window column.
         """
-        d = self.disturbance
-        peak = self.peak
-        peak_window = self.peak_window
-        flat = d.reshape(-1)
-        span = d.shape[1]
-        improved = np.empty(d.shape, dtype=bool)
-        targets = [
-            d[:, distance:] if below else d[:, :-distance]
-            for distance, below in _SLICE_ADDS
-            if span > distance
-        ]
-        # Block buffers, reused by every block; the histogram is kept
-        # all-zero between blocks.
-        cells = max(end - first for first, end, _, _ in plan.blocks) * span
-        hist = np.zeros(cells, dtype=np.int64)
-        scaled = {
-            distance: np.empty(cells, dtype=np.float64)
-            for distance in NEIGHBOUR_WEIGHTS
-        }
-        for block in plan.blocks:
-            first, end = block[0], block[1]
-            adds = list(zip(targets, _deposits(plan, block, gain, hist, scaled)))
-            victims, victim_bounds = self._victims(plan, first, end)
-            periodic, periodic_bounds = self._periodic(plan, first, end)
-            acts_of = plan.acts[first:end]
-            if trace_bank is not None:
-                for t, acts in enumerate(acts_of, first):
-                    OBS.tracer.point(
-                        "dram.window",
-                        bank=trace_bank,
-                        window=t,
-                        acts=acts,
-                        trr_refreshes=plan.ref_counts[t],
-                        virtual_ns=plan.t_refi,
-                    )
-            for t, acts in enumerate(acts_of):
-                if acts:
-                    for target, deposit in adds:
-                        target += deposit[t]
-                    np.greater(d, peak, out=improved)
-                    np.copyto(peak, d, where=improved)
-                    if peak_window is not None:
-                        np.copyto(peak_window, first + t, where=improved)
-                z0 = victim_bounds[t]
-                z1 = victim_bounds[t + 1]
-                if z1 > z0:
-                    flat[victims[z0:z1]] = 0.0
-                z0 = periodic_bounds[t]
-                z1 = periodic_bounds[t + 1]
-                if z1 > z0:
-                    flat[periodic[z0:z1]] = 0.0
-
-    def _victims(self, plan: _BankPlan, first: int, end: int):
-        """The plan's refreshed columns of intervals ``[first, end)``, for
-        every location, as flat state indices (``location * span +
-        column``) grouped by interval: ``flat[bounds[t]:bounds[t + 1]]``
-        (``t`` relative to ``first``)."""
-        n_loc, span = self.disturbance.shape
-        v0 = plan.victim_bounds[first]
-        flat = (
-            plan.victims[v0:plan.victim_bounds[end], None]
-            + np.arange(n_loc, dtype=np.int64) * span
+        n = self.intervals
+        interval = cells // self.span
+        victim = cells - interval * self.span + _VICTIM_OFFSETS[:, None]
+        entries = len(_CONTRIBUTION_ORDER)
+        # Unique per contribution: the victim and the entry fix the
+        # aggressor, so the sort needs no tiebreak.
+        keys = (
+            (victim * n + interval) * entries
+            + np.arange(entries, dtype=np.int64)[:, None]
         ).ravel()
-        bounds = [(b - v0) * n_loc for b in plan.victim_bounds[first:end + 1]]
-        return flat, bounds
-
-    def _periodic(self, plan: _BankPlan, first: int, end: int):
-        """Each location's periodic refresh of intervals ``[first, end)``.
-
-        Interval ``t`` refreshes device rows ``[slot, slot +
-        rows_per_ref)`` of its slot, intersected with each location's
-        window; indexed like :meth:`_victims`.
-        """
-        n = end - first
-        n_loc, span = self.disturbance.shape
-        slot_row = (
-            (first + np.arange(n, dtype=np.int64)) % plan.refs_per_window
-        ) * plan.rows_per_ref
-        start = slot_row[:, None] - self.los
-        stop = np.clip(start + plan.rows_per_ref, 0, span).ravel()
-        start = np.clip(start, 0, span).ravel()
-        lengths = stop - start
-        bounds = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(lengths.reshape(n, n_loc).sum(axis=1), out=bounds[1:])
-        total = int(bounds[-1])
-        if not total:
-            return _NO_ROWS, bounds.tolist()
-        loc_base = np.arange(n_loc, dtype=np.int64) * span
-        offsets = np.cumsum(lengths) - lengths
-        flat = np.arange(total, dtype=np.int64) + np.repeat(
-            np.tile(loc_base, n) + start - offsets, lengths
+        del interval, victim
+        order = np.argsort(keys)
+        self.keys = keys[order] // entries
+        del keys
+        self.scaled = (_WEIGHTS[:, None] * counts).ravel()[order]
+        del order
+        column = self.keys // n
+        col_start = np.flatnonzero(column[1:] != column[:-1]) + 1
+        col_start = np.concatenate(([0], col_start))
+        #: The window columns that take deposits, ascending.
+        self.cols = column[col_start]
+        del column
+        total = self.keys.size
+        edge = np.zeros(total + 1, dtype=bool)
+        edge[col_start] = True
+        edge[np.searchsorted(self.keys, resets.ravel(), side="right")] = True
+        edge[total] = True
+        self.seg_start = np.flatnonzero(edge)
+        #: ``seg_start`` indices of each column's first segment, and the end.
+        self.col_seg = np.searchsorted(
+            self.seg_start, np.append(col_start, total)
         )
-        return flat, bounds.tolist()
+
+    def _fold(self, gain: float) -> None:
+        """Every segment's running sums at ``gain``, and each column's
+        peak segment: kept for the last gain played."""
+        if gain == self.gain:
+            return
+        self.running = None  # freed before its successor is built
+        starts = self.seg_start
+        self.running = _running_sums(
+            self.scaled, gain, starts[:-1], np.diff(starts)
+        )
+        self.best, self.best_seg = _first_max(
+            self.running[starts[1:] - 1], self.col_seg[:-1]
+        )
+        self.gain = gain
+
+    def play(
+        self, los: np.ndarray, gain: float
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every location's peak per :attr:`cols` entry, at ``gain``.
+
+        Location ``i``'s window starts at device row ``los[i]``.  Returns
+        ``(locations, columns)`` arrays: the peak, and the ``[start,
+        stop)`` contributions of the earliest piece that attains it (see
+        :meth:`windows`).  A piece is a segment, or part of one that a
+        periodic refresh splits: interval ``t`` refreshes the device rows
+        of slot ``t % refs_per_window``, after its deposit.  Deposits are
+        non-negative, so a piece's level only grows, and a column's peak
+        is its largest piece sum.  A location whose refreshes leave a
+        column's peak segment whole shares the plan's peak; only the
+        others fold their column's pieces (:meth:`_resolve`).
+        """
+        self._fold(gain)
+        n = self.intervals
+        cols = self.cols
+        seg_start = self.seg_start
+        n_col = cols.size
+        rows = (los[:, None] + cols).ravel()
+        slot = rows // self.rows_per_ref
+        refreshes = np.where(
+            (rows >= 0) & (slot < min(self.refs_per_window, n)),
+            (n - 1 - slot) // self.refs_per_window + 1,
+            0,
+        )
+        pair = np.repeat(np.arange(rows.size, dtype=np.int64), refreshes)
+        interval = slot[pair] + _counting(refreshes) * self.refs_per_window
+        # The first contribution after each refresh; it splits its
+        # segment unless it starts one.
+        split = np.searchsorted(
+            self.keys, cols[pair % n_col] * n + interval, side="right"
+        )
+        seg = np.searchsorted(seg_start, split, side="right") - 1
+        inside = seg_start[seg] < split
+        pair, split, seg = pair[inside], split[inside], seg[inside]
+        peaks = np.tile(self.best, los.size)
+        start = np.tile(seg_start[self.best_seg], los.size)
+        stop = np.tile(seg_start[self.best_seg + 1], los.size)
+        hard = np.unique(pair[seg == self.best_seg[pair % n_col]])
+        if hard.size:
+            keep = np.isin(pair, hard)
+            self._resolve(
+                hard, np.searchsorted(hard, pair[keep]), split[keep],
+                peaks, start, stop,
+            )
+        shape = (los.size, n_col)
+        return peaks.reshape(shape), start.reshape(shape), stop.reshape(shape)
+
+    def _resolve(self, hard, split_owner, split, peaks, start, stop) -> None:
+        """Peaks of the (location, column) pairs whose peak segment a
+        periodic refresh splits: every piece of the column competes.
+
+        ``hard`` are flat ``location * columns + column`` pair indices;
+        ``split[k]`` is a refresh split of pair ``hard[split_owner[k]]``.
+        A piece that starts a segment reads the plan's running sums; the
+        others are folded here.  Writes into the flat ``play`` arrays.
+        """
+        col = hard % self.cols.size
+        first = self.col_seg[col]
+        n_seg = self.col_seg[col + 1] - first
+        seg_owner = np.repeat(np.arange(hard.size, dtype=np.int64), n_seg)
+        seg = np.repeat(first, n_seg) + _counting(n_seg)
+        bound = self.keys.size + 1
+        piece = np.unique(
+            np.concatenate(
+                (
+                    seg_owner * bound + self.seg_start[seg],
+                    split_owner * bound + split,
+                )
+            )
+        )
+        owner, begin = np.divmod(piece, bound)
+        heads = np.flatnonzero(np.diff(owner, prepend=-1))
+        end = np.empty_like(begin)
+        end[:-1] = begin[1:]
+        end[np.append(heads[1:], begin.size) - 1] = self.seg_start[
+            self.col_seg[col + 1]
+        ]
+        sums = self.running[end - 1]
+        inner = np.flatnonzero(~np.isin(begin, self.seg_start))
+        sums[inner] = _fold_ends(
+            self.scaled, self.gain, begin[inner], end[inner] - begin[inner]
+        )
+        best, win = _first_max(sums, heads)
+        peaks[hard] = best
+        start[hard] = begin[win]
+        stop[hard] = end[win]
+
+    def windows(
+        self,
+        cols: np.ndarray,
+        start: np.ndarray,
+        stop: np.ndarray,
+        peaks: np.ndarray,
+    ) -> np.ndarray:
+        """The interval at which each piece's level first reaches its
+        peak: where the walk's strict ``level > peak`` last held."""
+        reach = _first_reach(
+            self.scaled, self.gain, start, stop - start, peaks
+        )
+        return self.keys[start + reach] - cols * self.intervals
 
 
-def _deposits(plan: _BankPlan, block, gain: float, hist, scaled):
-    """One block's deposits, one ``(intervals, span - distance)`` array
-    per :data:`_SLICE_ADDS` entry: row ``t`` is what interval ``t``'s
-    slice add deposits.
+def _counting(counts: np.ndarray) -> np.ndarray:
+    """``0, 1, ..., counts[i] - 1`` for every ``i``, concatenated."""
+    return np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(
+        np.cumsum(counts) - counts, counts
+    )
 
-    The plan's ACT histogram is scaled as ``(weight * acts) * gain``,
-    element for element the values the slice adds always computed, into
-    the ``scaled`` buffers; ``hist`` is left all-zero.
+
+def _first_max(values: np.ndarray, heads: np.ndarray):
+    """Per group ``values[heads[g]:heads[g + 1]]`` (the last one runs to
+    the end): its maximum, and the index of the maximum's first
+    occurrence.  The walk's strict ``level > peak`` keeps the first of
+    tied peaks."""
+    best = np.maximum.reduceat(values, heads)
+    sizes = np.diff(np.append(heads, values.size))
+    hit = np.flatnonzero(values == np.repeat(best, sizes))
+    return best, hit[np.searchsorted(hit, heads)]
+
+
+def _folds(values, gain, starts, lengths):
+    """Left folds of ``values[s:s + n] * gain`` for every ``(s, n)``.
+
+    Yields ``(sel, steps, block)`` per bucket of ranges, where
+    ``block[k, i]`` is range ``sel[i]``'s running sum after its first
+    ``k + 1`` terms; rows past a range's length run on into the values
+    after it.  ``np.add.accumulate`` along axis 0 adds one row at a time,
+    so every running sum is the plain left-to-right fold of the
+    reference's walk.  ``np.add.reduce`` would not be: over a 1-D or
+    one-column array NumPy sums pairwise.  Ranges are bucketed by bit
+    length, so padding is under half of each block.
     """
-    first, end, c0, c1 = block
-    n = end - first
-    span = plan.span
-    block_hist = hist[:n * span]
-    nonzero = plan.cells[c0:c1]
-    block_hist[nonzero] = plan.counts[c0:c1]
-    by_distance: dict[int, np.ndarray] = {}
-    for distance, weight in NEIGHBOUR_WEIGHTS.items():
-        contribution = scaled[distance][:n * span]
-        np.multiply(block_hist, weight, out=contribution)
-        np.multiply(contribution, gain, out=contribution)
-        by_distance[distance] = contribution.reshape(n, span)
-    block_hist[nonzero] = 0
-    return [
-        by_distance[distance][:, :-distance]
-        if below
-        else by_distance[distance][:, distance:]
-        for distance, below in _SLICE_ADDS
-        if span > distance
-    ]
+    if not lengths.size:
+        return
+    exponent = np.frexp(lengths)[1]
+    order = np.argsort(exponent, kind="stable")
+    for sel in np.split(order, np.flatnonzero(np.diff(exponent[order])) + 1):
+        steps = np.arange(int(lengths[sel].max()), dtype=np.int64)[:, None]
+        block = np.take(values, starts[sel] + steps, mode="clip")
+        block *= gain
+        np.add.accumulate(block, axis=0, out=block)
+        yield sel, steps, block
 
 
-#: An empty index: no periodic refresh in a block.
-_NO_ROWS = np.zeros(0, dtype=np.int64)
+def _running_sums(values, gain, starts, lengths) -> np.ndarray:
+    """Every running sum of the ranges, concatenated in range order."""
+    out = np.empty(int(lengths.sum()))
+    offsets = np.cumsum(lengths) - lengths
+    for sel, steps, block in _folds(values, gain, starts, lengths):
+        inside = steps < lengths[sel]
+        out[(offsets[sel] + steps)[inside]] = block[inside]
+    return out
+
+
+def _fold_ends(values, gain, starts, lengths) -> np.ndarray:
+    """Each range's fold."""
+    out = np.empty(lengths.size)
+    for sel, _, block in _folds(values, gain, starts, lengths):
+        out[sel] = block[lengths[sel] - 1, np.arange(sel.size)]
+    return out
+
+
+def _first_reach(values, gain, starts, lengths, targets) -> np.ndarray:
+    """Per range, the first term after which its running sum equals its
+    target (the range's fold)."""
+    out = np.empty(lengths.size, dtype=np.int64)
+    for sel, _, block in _folds(values, gain, starts, lengths):
+        out[sel] = np.argmax(block == targets[sel], axis=0)
+    return out
 
 
 @dataclass
 class _BankPass:
-    """One bank's played stream, holding only what emission reads.
-
-    The disturbance matrix is dropped once the stream is played; the
-    peaks stay until every location is emitted.
-    """
+    """One bank's played stream: per location and :attr:`_BankPlan.cols`
+    entry, the peak and the piece of contributions that attains it."""
 
     bank: int
     lo: int  # location 0's window origin (device row)
-    peak: np.ndarray  # (locations, span)
-    peak_window: np.ndarray | None  # with telemetry
+    peaks: np.ndarray  # (locations, columns)
+    start: np.ndarray
+    stop: np.ndarray
     plan: _BankPlan
 
 
@@ -632,11 +720,19 @@ class Dimm:
                 for delta in deltas.tolist()
             ]
         banks = self._bank_list(bank_streams, deltas)
-        span = max(
-            (int(rows.max()) - int(rows.min()) + 5 for _, _, rows in banks),
+        t_refi = self.timing.t_refi
+        per_location = max(
+            (
+                _location_bytes(
+                    int(rows.max()) - int(rows.min()) + 5,
+                    int(times[-1] // t_refi) + 1,
+                    self.timing.refs_per_window,
+                )
+                for _, times, rows in banks
+            ),
             default=1,
         )
-        per_pass = max(1, BATCH_MATRIX_BYTES_MAX // (3 * span * 8))
+        per_pass = max(1, BATCH_MATRIX_BYTES_MAX // per_location)
         results: list[HammerResult] = []
         for first in range(0, deltas.size, per_pass):
             results += self._hammer_locations(
@@ -749,13 +845,25 @@ class Dimm:
             raise SimulationError(
                 f"bank {bank}'s stream is not the one its plan was made for"
             )
-        state = _BankWindow(lo + deltas, span, track_windows=telemetry)
-        state.run(bank_plan, disturbance_gain, bank if trace_windows else None)
+        if trace_windows:
+            for t, (acts, refs) in enumerate(
+                zip(bank_plan.acts, bank_plan.ref_counts)
+            ):
+                OBS.tracer.point(
+                    "dram.window",
+                    bank=bank,
+                    window=t,
+                    acts=acts,
+                    trr_refreshes=refs,
+                    virtual_ns=bank_plan.t_refi,
+                )
+        peaks, start, stop = bank_plan.play(lo + deltas, disturbance_gain)
         return _BankPass(
             bank=bank,
             lo=lo,
-            peak=state.peak,
-            peak_window=state.peak_window,
+            peaks=peaks,
+            start=start,
+            stop=stop,
             plan=bank_plan,
         )
 
@@ -774,20 +882,26 @@ class Dimm:
         materialisation.  Returns ``(flips, trr_refreshes)``, with flips
         as events or, without ``collect_events``, as a count.
         """
-        lo = p.lo + delta
-        # Padding columns past a device edge are never counted.
-        first = max(0, -lo)
-        last = self.spec.geometry.rows - lo
-        peak = p.peak[i, first:last]
-        touched = np.nonzero(peak > 0.0)[0]
-        victims = touched + (lo + first)
-        counts = self.cells.flip_counts_for(p.bank, victims, peak[touched])
         plan = p.plan
+        rows = plan.cols + (p.lo + delta)
+        peaks = p.peaks[i]
+        # Padding columns past a device edge are never counted.
+        touched = np.flatnonzero(
+            (rows >= 0) & (rows < self.spec.geometry.rows) & (peaks > 0.0)
+        )
+        victims = rows[touched]
+        counts = self.cells.flip_counts_for(p.bank, victims, peaks[touched])
         if telemetry:
             batch = OBS.metrics.batch()
-            windows = p.peak_window[i, first:last][touched]
-            for j in np.nonzero(counts)[0].tolist():
-                self._flip_metrics(batch, int(counts[j]), int(windows[j]))
+            flipped = np.flatnonzero(counts)
+            at = touched[flipped]
+            windows = plan.windows(
+                plan.cols[at], p.start[i, at], p.stop[i, at], peaks[at]
+            )
+            for count, window in zip(
+                counts[flipped].tolist(), windows.tolist()
+            ):
+                self._flip_metrics(batch, count, window)
             sampler = plan.sampler
             sampler.metrics = batch
             sampler.restore_tallies(plan.tallies)

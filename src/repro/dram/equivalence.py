@@ -1,6 +1,6 @@
 """Cross-checking the vectorised DRAM hot path against the reference.
 
-:class:`~repro.dram.device.Dimm` runs a fully vectorised bank loop;
+:class:`~repro.dram.device.Dimm` plays each bank as vectorised segment sums;
 :class:`~repro.dram.reference.ReferenceDimm` preserves the original
 per-row / per-ACT implementation.  :func:`cross_check` runs the *same*
 workload, at one or many base-row-shifted locations, through three

@@ -310,7 +310,7 @@ class TrrSampler:
         per bank for all its locations (its decisions are invariant under
         a uniform row shift) but must emit each location's metrics as if
         the sampler had run for that location alone.  The owner captures
-        the tallies once after the interval loop, then
+        the tallies once when it has planned the stream, then
         :meth:`restore_tallies` + :meth:`flush_metrics` per location.
         """
         return (

@@ -166,7 +166,7 @@ class HammerSession:
 
         Bit-identical — outcomes, flip events, spans and every OBS
         metric — to ``[run_pattern(pattern, r, ...) for r in base_rows]``,
-        but the DRAM interval loop runs once for the whole batch: the
+        but the DRAM model plays the stream once for the whole batch: the
         expanded stream and all TRR/pTRR/RFM decisions are base-row
         independent in window coordinates (see :meth:`Dimm.hammer_batch
         <repro.dram.device.Dimm.hammer_batch>`).

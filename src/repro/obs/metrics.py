@@ -54,15 +54,21 @@ class Counter:
 
 
 class Gauge:
-    """A point-in-time value (last write wins)."""
+    """A point-in-time value (last write wins).
 
-    __slots__ = ("value",)
+    ``writes`` counts the writes, so a worker's delta ships a gauge it
+    wrote since the mark even when the value did not change.
+    """
+
+    __slots__ = ("value", "writes")
 
     def __init__(self) -> None:
         self.value = 0
+        self.writes = 0
 
     def set(self, value: int | float) -> None:
         self.value = value
+        self.writes += 1
 
 
 class Histogram:
@@ -300,7 +306,7 @@ class MetricsRegistry:
         """A snapshot to later diff against (see :meth:`delta_since`)."""
         return {
             "counters": {k: c.value for k, c in self._counters.items()},
-            "gauges": {k: g.value for k, g in self._gauges.items()},
+            "gauges": {k: g.writes for k, g in self._gauges.items()},
             "histograms": {
                 k: (h.count, h.total, tuple(h.bucket_counts))
                 for k, h in self._histograms.items()
@@ -329,10 +335,13 @@ class MetricsRegistry:
             for k, c in self._counters.items()
             if k not in old_c or c.value != old_c[k]
         }
+        # A gauge written since the mark ships even if it was rewritten
+        # to its old value: an earlier task on another worker may have
+        # moved the merged gauge in between.
         gauges = {
             k: g.value
             for k, g in self._gauges.items()
-            if k not in old_g or g.value != old_g[k]
+            if k not in old_g or g.writes != old_g[k]
         }
         histograms = {}
         for k, h in self._histograms.items():
@@ -374,7 +383,7 @@ class MetricsRegistry:
             inst = self._gauges.get(key)
             if inst is None:
                 inst = self._gauges[key] = Gauge()
-            inst.value = value
+            inst.set(value)
         for key, payload in delta.get("histograms", {}).items():
             hist = self._histograms.get(key)
             if hist is None:
@@ -490,7 +499,7 @@ class MetricsBatch:
                 inst = reg_gauges.get(key)
                 if inst is None:
                     inst = reg_gauges[key] = Gauge()
-                inst.value = value
+                inst.set(value)
             reg_hists = registry._histograms
             for key, (buckets, values) in self._observations.items():
                 hist = reg_hists.get(key)

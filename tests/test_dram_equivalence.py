@@ -27,7 +27,7 @@ from repro.dram.geometry import DramGeometry
 from repro.dram.reference import ReferenceDimm, reference_twin
 from repro.dram.timing import DdrTiming
 from repro.dram.trr import VENDOR_TRR_PROFILES, PtrrShield, TrrConfig
-from repro.obs import telemetry_session
+from repro.obs import metric_key, telemetry_session
 from repro.obs.trace import WALL_KEY
 
 
@@ -294,6 +294,43 @@ def test_batch_vendor_profiles_bit_identical(kind, profile, telemetry):
     assert bool(check.batched.metrics.get("counters")) == telemetry
 
 
+#: Two locations per play: the smallest batch that is not one location.
+PAIR_DELTAS = (0, 96)
+PAIR_REPLAY_DELTAS = (7, -300)
+
+
+@pytest.mark.parametrize("profile", sorted(VENDOR_TRR_PROFILES))
+def test_two_location_batches_bit_identical(profile):
+    dimm = make_dimm(trr=VENDOR_TRR_PROFILES[profile])
+    workload = synthetic_workload(
+        dimm, acts_per_bank=4000, banks=2, seed=5, kind="mixed"
+    )
+    check = cross_check(
+        dimm, workload, PAIR_DELTAS, disturbance_gain=24.0,
+        replay_deltas=PAIR_REPLAY_DELTAS,
+    )
+    assert check.identical, check.mismatches[:5]
+    assert len(check.batched.locations) == 4
+
+
+def test_two_location_batch_with_ptrr_and_rfm_bit_identical():
+    dimm = make_dimm(
+        ptrr=PtrrShield(enabled=True, para_prob=0.02),
+        rfm=RfmConfig(enabled=True),
+        rfm_threshold=40,
+        median=3_000.0,
+    )
+    workload = synthetic_workload(
+        dimm, acts_per_bank=4000, banks=2, seed=7, kind="gappy"
+    )
+    check = cross_check(
+        dimm, workload, PAIR_DELTAS, disturbance_gain=24.0,
+        replay_deltas=PAIR_REPLAY_DELTAS,
+    )
+    assert check.identical, check.mismatches[:5]
+    assert sum(t.flip_count for t in check.batched.locations) > 0
+
+
 @pytest.mark.parametrize("kind, telemetry", BATCH_KINDS)
 def test_batch_ptrr_and_rfm_bit_identical(kind, telemetry):
     dimm = make_dimm(
@@ -398,9 +435,17 @@ def test_batch_over_memory_cap_runs_in_passes(monkeypatch):
         dimm, acts_per_bank=3000, banks=2, seed=9, kind="mixed"
     )
     deltas = np.arange(0, 64, 8, dtype=np.int64)
-    span = max(int(r.max()) - int(r.min()) + 5 for _, r in workload.values())
+    timing = dimm.timing
+    per_location = max(
+        device_mod._location_bytes(
+            int(rows.max()) - int(rows.min()) + 5,
+            int(times[-1] // timing.t_refi) + 1,
+            timing.refs_per_window,
+        )
+        for times, rows in workload.values()
+    )
     monkeypatch.setattr(
-        device_mod, "BATCH_MATRIX_BYTES_MAX", 3 * (3 * span * 8) + 1
+        device_mod, "BATCH_MATRIX_BYTES_MAX", 3 * per_location + 1
     )
     assert dimm.batch_supported(workload, deltas)[0]
     passes: list[int] = []
@@ -419,6 +464,82 @@ def test_batch_over_memory_cap_runs_in_passes(monkeypatch):
     )
     assert check.identical, check.mismatches[:5]
     assert sum(t.flip_count for t in check.batched.locations) > 0
+
+
+def test_tied_peaks_name_the_earlier_window():
+    """Equal periodic-refresh pieces: the flip goes to the earliest one.
+
+    Every interval holds the same ACT mix (20 ACTs to each aggressor of a
+    double-sided pair) and TRR tracks nothing, so a victim's level is
+    reset only by the periodic refresh, every 20 intervals.  Its full
+    pieces fold the same values in the same order to the same float, and
+    the walk's strict ``level > peak`` names the first of them: interval
+    20, the end of the first full piece, never 40 or 60.
+    """
+    timing = DdrTiming()
+    refs = 20
+    dimm = make_dimm(
+        trr=TrrConfig(capacity=1, sample_prob=1e-9),
+        median=3_000.0,
+        density=0.6,
+        timing=DdrTiming(refresh_window=refs * timing.t_refi),
+    )
+    per_interval = 40
+    n = 3 * refs + 10
+    times = (np.arange(n * per_interval) + 0.5) * (
+        timing.t_refi / per_interval
+    )
+    # Rows 100-104 lie in periodic-refresh slot 0 (3,276 rows per slot),
+    # refreshed at intervals 0, 20, 40 and 60.
+    rows = np.where(np.arange(times.size) % 2 == 0, 100, 102)
+    stream = {0: (times, rows.astype(np.int64))}
+    check = cross_check(
+        dimm, stream, (0, 40), disturbance_gain=24.0, replay_deltas=(7,)
+    )
+    assert check.identical, check.mismatches[:5]
+    flips = sum(t.flip_count for t in check.batched.locations)
+    assert flips > 0
+    counters = check.batched.metrics["counters"]
+    key = metric_key("dram.flips_by_window", {"window": refs})
+    assert counters[key] == flips
+
+
+def test_segment_folds_match_a_python_left_fold():
+    """The play sums every segment left to right, as the walk did.
+
+    Mixed magnitudes make the sum depend on the order of the additions,
+    and NumPy's pairwise ``add.reduce`` differs from the left fold on
+    these inputs; the segment folds must not.  Covered: a bucket that
+    holds a single segment (a one-column block) and many segments of 9
+    or more terms.
+    """
+    rng = np.random.default_rng(21)
+    values = rng.choice([1.0, 0.18, 1e-3, 7.5e5], size=4000) * rng.integers(
+        1, 300, size=4000
+    )
+    gain = 24.0
+    # One 300-term segment alone in its bucket, then many of 9-60 terms.
+    lengths = np.concatenate(([300], rng.integers(9, 61, size=80)))
+    starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+
+    def left_fold(i):
+        level, running = 0.0, []
+        for value in values[starts[i]:starts[i] + lengths[i]]:
+            level += value * gain
+            running.append(level)
+        return running
+
+    expected = [left_fold(i) for i in range(lengths.size)]
+    pairwise = [
+        np.add.reduce(values[s:s + n] * gain) for s, n in zip(starts, lengths)
+    ]
+    assert sum(p != e[-1] for p, e in zip(pairwise, expected)) > 10
+    running = device_mod._running_sums(values, gain, starts, lengths)
+    assert running.tolist() == [v for fold in expected for v in fold]
+    ends = device_mod._fold_ends(values, gain, starts, lengths)
+    assert ends.tolist() == [fold[-1] for fold in expected]
+    reach = device_mod._first_reach(values, gain, starts, lengths, ends)
+    assert reach.tolist() == [fold.index(fold[-1]) for fold in expected]
 
 
 @pytest.mark.parametrize("twin", (vector_twin, reference_twin))

@@ -120,6 +120,27 @@ def test_delta_merge_reproduces_serial_snapshot():
     assert parent.snapshot() == serial.snapshot()
 
 
+def test_delta_ships_gauge_rewritten_to_its_marked_value():
+    """Worker A runs tasks 1 and 3, worker B task 2: task 3 writes the
+    value A's gauge already held, and the merge must still end on it."""
+    serial = MetricsRegistry(enabled=True)
+    parent = MetricsRegistry(enabled=True)
+    worker_a = MetricsRegistry(enabled=True)
+    worker_b = MetricsRegistry(enabled=True)
+    deltas = []
+    for worker, value in ((worker_a, 2), (worker_b, 6), (worker_a, 2)):
+        mark = worker.mark()
+        batch = worker.batch()
+        batch.set("dram.trr.last_occupancy", value)
+        batch.flush()
+        deltas.append(worker.delta_since(mark))
+        serial.gauge("dram.trr.last_occupancy").set(value)
+    for delta in deltas:
+        parent.merge(delta)
+    assert parent.snapshot() == serial.snapshot()
+    assert parent.snapshot()["gauges"] == {"dram.trr.last_occupancy": 2}
+
+
 def test_batch_flush_reproduces_direct_updates():
     """A phase batch flushed once == the same events applied per-event."""
     direct = MetricsRegistry(enabled=True)
